@@ -1,4 +1,4 @@
-"""Provenance stamping and schema checks for ``BENCH_engine.json``.
+"""Provenance stamping and schema checks for ``BENCH_engine.json``-style files.
 
 Every trajectory entry must say *which code it measured*: a
 human-readable ``label`` and the short ``commit`` hash are required
@@ -39,7 +39,11 @@ def bench_commit() -> str:
 
 
 def validate_engine_bench(path: Path = BENCH_PATH) -> list[str]:
-    """Schema-check the BENCH_engine.json trajectory; returns problems."""
+    """Schema-check a BENCH trajectory (default BENCH_engine.json); returns problems.
+
+    Besides the per-entry fields, the top-level ``benchmark`` header must
+    name the benchmark of at least one entry.
+    """
     if not path.exists():
         return []
     try:
@@ -50,6 +54,16 @@ def validate_engine_bench(path: Path = BENCH_PATH) -> list[str]:
     if not isinstance(entries, list):
         return [f"{path.name}: top-level 'entries' must be a list"]
     problems = []
+    # Entries without a ``benchmark`` field belong to the engine suite.
+    names = {
+        entry.get("benchmark", "engine") for entry in entries if isinstance(entry, dict)
+    }
+    header = loaded.get("benchmark")
+    if names and header not in names:
+        problems.append(
+            f"{path.name}: header 'benchmark' is {header!r} but its entries "
+            f"are {sorted(names)}"
+        )
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             problems.append(f"entries[{i}]: must be an object")

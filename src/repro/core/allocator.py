@@ -15,6 +15,17 @@ For monotonic models (the whole Equation (1) family, Lemma 1) step 1 is
 solved with two binary searches; arbitrary models fall back to a linear
 scan over :math:`[1, p^{\\max}]`.
 
+Models that :func:`repro.core.lpa_batch.eq1_eligible` admits (un-overridden
+``GeneralModel`` math with the monotonic hint set: roofline, communication,
+Amdahl, general) take :meth:`LpaAllocator._initial_eq1`, which reads
+``(w, d, c, p̃)`` once and evaluates Equation (1) inline instead of calling
+``model.time`` per probe.  It uses the same float expressions and the same
+bisection iterates as ``GeneralModel.max_useful_processors`` +
+:meth:`LpaAllocator._initial_monotonic`, so its decisions are bit-identical
+to that generic path, which stays the only path for every other model and
+the oracle of ``tests/core/test_eq1_path.py``.  Subclasses that override a
+decision method always get the generic path.
+
 The allocation is a pure function of ``(model, P)``, so the engine calls
 Algorithm 2 through the memoized
 :meth:`~repro.sim.allocation.Allocator.allocate_cached` entry point:
@@ -29,16 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import ClassVar, Sequence
 
 from repro.core.constants import MU_MAX, delta
+from repro.core.lpa_batch import BatchAllocation, eq1_eligible, lpa_allocate_batch
 from repro.exceptions import AllocationError
 from repro.sim.allocation import Allocation, AllocationCacheInfo, Allocator
 from repro.speedup.base import SpeedupModel
+from repro.speedup.general import GeneralModel
 from repro.util.validation import check_in_range, check_positive_int
-
-if TYPE_CHECKING:
-    from repro.core.lpa_batch import BatchAllocation
 
 __all__ = [
     "Allocation",
@@ -101,6 +111,20 @@ class LpaAllocator(Allocator):
 
     name = "lpa"
 
+    #: Whether this class keeps LpaAllocator's own decision methods
+    #: (``allocate``/``initial_allocation``/``_initial_monotonic``).  Only
+    #: then may the Equation (1) twins — :meth:`_initial_eq1` and
+    #: :meth:`allocate_batch`'s array lanes — stand in for them.
+    _own_decisions: ClassVar[bool] = True
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._own_decisions = (
+            cls.allocate is LpaAllocator.allocate
+            and cls.initial_allocation is LpaAllocator.initial_allocation
+            and cls._initial_monotonic is LpaAllocator._initial_monotonic
+        )
+
     def __init__(self, mu: float, *, rtol: float = 1e-9) -> None:
         self.mu = check_in_range(mu, "mu", 0.0, MU_MAX, low_open=True)
         self.rtol = check_in_range(rtol, "rtol", 0.0, 1e-3)
@@ -152,7 +176,7 @@ class LpaAllocator(Allocator):
 
     def allocate_batch(
         self, models: Sequence[SpeedupModel], P: int
-    ) -> "BatchAllocation | None":
+    ) -> BatchAllocation | None:
         """Resolve many models' allocations at once, vectorizing Eq. (1).
 
         Batch-compilation fast path (:func:`repro.batch.layout.compile_run`
@@ -167,22 +191,17 @@ class LpaAllocator(Allocator):
         ``_initial_monotonic``) changes the scalar semantics the array
         math mirrors, so such allocators keep the per-group scalar path.
         """
-        cls = type(self)
-        if (
-            cls.allocate is not LpaAllocator.allocate
-            or cls.initial_allocation is not LpaAllocator.initial_allocation
-            or cls._initial_monotonic is not LpaAllocator._initial_monotonic
-        ):
+        if not self._own_decisions:
             return None
         P = check_positive_int(P, "P")
-        from repro.core.lpa_batch import lpa_allocate_batch
-
         return lpa_allocate_batch(
             self, models, P, mu=self.mu, delta=self.delta, rtol=self.rtol
         )
 
     def initial_allocation(self, model: SpeedupModel, P: int) -> int:
         """Step 1: the constrained area-minimizing allocation :math:`p_j`."""
+        if self._own_decisions and eq1_eligible(model):
+            return self._initial_eq1(model, P)
         p_max = model.max_useful_processors(P)
         t_min = model.time(p_max)
         threshold = self.delta * t_min * (1.0 + self.rtol)
@@ -191,6 +210,58 @@ class LpaAllocator(Allocator):
         return self._initial_scan(model, p_max, threshold)
 
     # ------------------------------------------------------------------
+    def _initial_eq1(self, model: GeneralModel, P: int) -> int:
+        """Step 1 for an Equation (1) model, bit-identical to the generic path.
+
+        The scalar twin of :func:`repro.core.lpa_batch.lpa_decide_eq1`:
+        ``GeneralModel.max_useful_processors`` then :meth:`_initial_monotonic`
+        with ``time(p) = w / min(p, p̃) + d + c * (p - 1)`` written out
+        inline, so every comparison sees the same floats and both
+        bisections walk the same integer iterates.  Probes are ints in
+        ``[1, p_max]`` and skip ``SpeedupModel._check_p``; ``P`` is
+        validated once.
+        """
+        if type(P) is not int or P < 1:
+            P = model._check_P(P)
+        w = model.w
+        d = model.d
+        c = model.c
+        pt: float = math.inf if model.max_parallelism is None else model.max_parallelism
+        p_max = P if P < pt else int(pt)
+        if c != 0.0:
+            s = math.sqrt(w / c)
+            lo = max(1, math.floor(s))
+            hi = max(1, math.ceil(s))
+            t_lo = w / min(lo, pt) + d + c * (lo - 1)
+            t_hi = w / min(hi, pt) + d + c * (hi - 1)
+            p_max = min(p_max, lo if t_lo <= t_hi else hi)
+        # From here on every probe p lies in [1, p_max] ⊆ [1, p̃], where
+        # min(p, p̃) is p itself.
+        t_min = w / p_max + d + c * (p_max - 1)
+        threshold = self.delta * t_min * (1.0 + self.rtol)
+        if w / 1 + d + c * 0 <= threshold:
+            p_lo = 1
+        else:
+            lo, hi = 1, p_max
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if w / mid + d + c * (mid - 1) <= threshold:
+                    hi = mid
+                else:
+                    lo = mid
+            p_lo = hi
+        area_budget = p_lo * (w / p_lo + d + c * (p_lo - 1)) * (1.0 + self.rtol)
+        if p_max * t_min <= area_budget:
+            return p_max
+        lo, hi = p_lo, p_max
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if mid * (w / mid + d + c * (mid - 1)) <= area_budget:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
     def _initial_monotonic(
         self, model: SpeedupModel, p_max: int, threshold: float
     ) -> int:

@@ -28,16 +28,19 @@ models whose ``time``/``area``/``max_useful_processors`` are literally
 the ``GeneralModel``/``SpeedupModel`` implementations this module
 mirrors (subclass overrides fall back to the scalar allocator), and
 :meth:`LpaAllocator.allocate_batch` declines entirely when *its own*
-decision methods are overridden.  ``allocate_cached`` remains the
-bit-identity oracle — the parity tests sweep every speedup model against
-it.
+decision methods are overridden.  The same predicate routes single
+decisions to :meth:`LpaAllocator._initial_eq1`, the scalar twin of
+:func:`lpa_decide_eq1`.  The parity tests sweep every speedup model
+against ``allocate_cached``, and the scalar twin against the generic
+``max_useful_processors`` + ``_initial_monotonic`` path, which remains
+the bit-identity oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, TypeGuard
 
 import numpy as np
 
@@ -80,24 +83,33 @@ class BatchAllocation:
     vectorized: int
 
 
-def eq1_eligible(model: SpeedupModel) -> bool:
+#: Per-class memo of :func:`eq1_eligible`'s method-identity checks.  A
+#: class's methods are fixed once it is defined; ``monotonic_hint`` may be
+#: set per instance, so it is read from the model on every call.
+_EQ1_CLASSES: dict[type, bool] = {}
+
+
+def eq1_eligible(model: SpeedupModel) -> TypeGuard[GeneralModel]:
     """Whether ``model``'s math is literally the Equation (1) closed forms.
 
     True only when the instance is a :class:`GeneralModel` whose
     ``time``, ``area``, and ``max_useful_processors`` are un-overridden
     (roofline/communication/Amdahl qualify; any subclass customizing the
     math does not) and whose monotonic hint routes the scalar allocator
-    into the binary-search branch this module mirrors.
+    into the binary-search branch this module mirrors.  The one guard
+    for both Equation (1) decision paths: this module's array lanes and
+    :class:`~repro.core.allocator.LpaAllocator`'s scalar twin.
     """
-    if not isinstance(model, GeneralModel):
-        return False
     cls = type(model)
-    return (
-        cls.time is GeneralModel.time
-        and cls.max_useful_processors is GeneralModel.max_useful_processors
-        and cls.area is SpeedupModel.area
-        and model.monotonic_hint is True
-    )
+    eligible = _EQ1_CLASSES.get(cls)
+    if eligible is None:
+        eligible = _EQ1_CLASSES[cls] = (
+            issubclass(cls, GeneralModel)
+            and cls.time is GeneralModel.time
+            and cls.max_useful_processors is GeneralModel.max_useful_processors
+            and cls.area is SpeedupModel.area
+        )
+    return eligible and model.monotonic_hint is True
 
 
 def eq1_params(

@@ -203,16 +203,21 @@ def append_bench_entry(path: Path | str, manifest: RunManifest) -> Path:
 
 
 def append_engine_bench_entry(path: Path | str, entry: Mapping[str, Any]) -> Path:
-    """Append one engine-benchmark entry to the ``BENCH_engine.json`` trajectory.
+    """Append one benchmark entry to a ``BENCH_*.json`` trajectory.
 
     Same append-only discipline as :func:`append_bench_entry`, under the
-    artifact header ``{"benchmark": "engine", "entries": [...]}``.  Entries
-    typically carry per-benchmark timings plus the
+    artifact header ``{"benchmark": <name>, "entries": [...]}``.  A new
+    file takes ``<name>`` from the entry's ``benchmark`` field (default
+    ``"engine"``, the ``BENCH_engine.json`` suite); an existing file keeps
+    its header.  Entries typically carry per-benchmark timings plus the
     :class:`~repro.sim.engine.EngineStats` counters of the timed runs (see
     ``benchmarks/conftest.py``).
     """
     path = Path(path)
-    trajectory: dict[str, Any] = {"benchmark": "engine", "entries": []}
+    trajectory: dict[str, Any] = {
+        "benchmark": entry.get("benchmark", "engine"),
+        "entries": [],
+    }
     if path.exists():
         try:
             loaded = json.loads(path.read_text())

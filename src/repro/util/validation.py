@@ -52,6 +52,8 @@ def check_positive_int(value: object, name: str) -> int:
     Floats with integral values (e.g. ``4.0``) are accepted for convenience;
     ``True``/``False`` are rejected.
     """
+    if type(value) is int and value > 0:
+        return value
     if isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
     if isinstance(value, Integral):

@@ -7,6 +7,7 @@ from tests.lint.conftest import lint_semantic_fixture, tree_findings
 TREE = ["src/repro"]
 
 ALLOC_ANCHOR = "initial = self.initial_allocation(model, P)"
+EQ1_ANCHOR = "        c = model.c\n"
 INIT_ANCHOR = 'self.w = check_positive(w, "w")'
 KEY_ANCHOR = 'return ("eq1", self.w, self.d, self.c, self.max_parallelism)'
 
@@ -55,6 +56,26 @@ class TestRealTree:
         # Fires for GeneralModel and the Equation (1) subclasses that
         # inherit the injected instance attribute.
         assert any(f.path.endswith("general.py") for f in findings)
+
+    def test_eq1_decision_path_reads_are_checked(self):
+        # Seeded mutation inside LpaAllocator._initial_eq1, which reads
+        # w/d/c/max_parallelism straight off the model: the rule must reach
+        # it from allocate(), so an uncovered read there fires too.
+        def inject(path, source):
+            if path.name == "allocator.py":
+                assert EQ1_ANCHOR in source, "Equation (1) read anchor drifted"
+                source = source.replace(
+                    EQ1_ANCHOR, EQ1_ANCHOR + "        _ = model.eq1_knob\n", 1
+                )
+            if path.parent.name == "speedup" and path.name == "general.py":
+                source = source.replace(
+                    INIT_ANCHOR, INIT_ANCHOR + "\n        self.eq1_knob = 1.0", 1
+                )
+            return source
+
+        findings = tree_findings("RL009", TREE, mutate=inject)
+        assert findings, "uncovered read in the Equation (1) path was not detected"
+        assert all("eq1_knob" in f.message for f in findings)
 
     def test_narrowed_cache_key_fires(self):
         # Seeded mutation: drop max_parallelism from GeneralModel's key;

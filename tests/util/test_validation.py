@@ -1,7 +1,9 @@
 """Unit tests for repro.util.validation."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
@@ -66,9 +68,27 @@ class TestCheckPositiveInt:
     def test_returns_int_type(self):
         assert isinstance(check_positive_int(4.0, "n"), int)
 
+    def test_accepts_numpy_integer(self):
+        result = check_positive_int(np.int64(4), "n")
+        assert result == 4
+        assert type(result) is int
+
     @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", None, True, math.nan])
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidParameterError):
+            check_positive_int(bad, "n")
+
+    @pytest.mark.parametrize(
+        ("bad", "message"),
+        [
+            (True, "n must be a positive integer, got True"),
+            (0, "n must be >= 1, got 0"),
+            (-1, "n must be >= 1, got -1"),
+            (2.5, "n must be a positive integer, got 2.5"),
+        ],
+    )
+    def test_error_messages(self, bad, message):
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             check_positive_int(bad, "n")
 
 
