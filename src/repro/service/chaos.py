@@ -1,7 +1,7 @@
 """Chaos harness for the scheduler service.
 
 Drives a *real* :class:`~repro.service.server.SchedulerServer` (journal,
-dispatcher, TCP sessions and all) through seeded rounds of injected
+ticker, TCP sessions and all) through seeded rounds of injected
 disorder, and checks the service's hard invariants after every round:
 
 * **random client delays** between protocol operations;

@@ -87,13 +87,16 @@ class ServiceConfig:
         Wall-clock retry hint (seconds) attached to backpressure
         rejections.
     max_session_requests:
-        Per-session bound on buffered-but-unprocessed requests; the
-        session is asked to back off when it outruns the dispatcher.
+        Per-session bound on output the client has not read: a session
+        whose transport holds more than ``max_session_requests`` times
+        :data:`repro.service.server.SLOW_CONSUMER_BYTES_PER_REQUEST`
+        unsent bytes when a notification is routed to it is evicted
+        (``SLOW_CONSUMER``).
     fault_max_attempts / fault_backoff:
         Retry policy for attempts killed by injected processor faults
         (virtual-time backoff, exponential with base ``fault_backoff``).
     tick_events:
-        Completion events the dispatcher advances per idle tick (bounds
+        Completion events the server's ticker advances per tick (bounds
         the latency of any single journal record's replay).
     session_idle_timeout_s:
         Wall-clock seconds a connected session may stay silent before the

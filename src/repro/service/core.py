@@ -20,8 +20,9 @@ and reopens the journal for appending — after which
 one (the chaos harness's central assertion).
 
 The core is synchronous and transport-free on purpose: the asyncio
-server (:mod:`repro.service.server`) drives it from a single dispatcher
-task, tests drive it directly, and both get identical semantics.
+server (:mod:`repro.service.server`) calls it inline from its session
+coroutines and its ticker, whose single-threaded event loop orders the
+calls; tests drive it directly, and both get identical semantics.
 """
 
 from __future__ import annotations
@@ -188,15 +189,16 @@ class ServiceCore:
                 f"shared queue is full ({self.config.max_queue_depth} waiting)",
                 retry_after=self.config.retry_after_s,
             )
-        self._record(
-            "submit",
-            {
-                "tenant": tenant,
-                "task": request.task,
-                "model": model_to_dict(request.model),
-                "deps": list(request.deps),
-            },
-        )
+        # Parse once: the journal holds the model's dict form (recovery
+        # rebuilds it with ``model_from_dict``), while the pool gets the
+        # model the protocol layer already parsed.  Both are the same
+        # class with the same parameters, so they allocate and run alike.
+        payload = {"tenant": tenant, "task": request.task, "model": request.model,
+                   "deps": request.deps}
+        if self.journal is not None:
+            self._journal("submit", {**payload, "model": model_to_dict(request.model),
+                                     "deps": list(request.deps)})
+        self._apply("submit", payload)
         info = {"task": request.task, "inflight": run.inflight}
         return info, self._shed_if_overloaded()
 
@@ -314,10 +316,14 @@ class ServiceCore:
     # ------------------------------------------------------------------
     def _record(self, op: str, payload: Mapping[str, Any]) -> Any:
         """Write-ahead: journal the mutation, then apply it to the pool."""
+        self._journal(op, payload)
+        return self._apply(op, payload)
+
+    def _journal(self, op: str, payload: Mapping[str, Any]) -> None:
+        """Append and flush one mutation record (no-op without a journal)."""
         if self.journal is not None:
             seq = self.journal.append(op, payload)
             self.telemetry.record_journal(self.pool.now, op, seq, "append")
-        return self._apply(op, payload)
 
     def _apply(self, op: str, payload: Mapping[str, Any]) -> Any:
         """Apply one journaled mutation (the only path that mutates the pool)."""

@@ -103,6 +103,8 @@ class PoolTask:
     start: float = -1.0
     end: float = -1.0
     procs: int = 0
+    #: Processor ids of the running attempt (empty when not running).
+    proc_ids: tuple[int, ...] = ()
 
 
 @dataclass
@@ -331,7 +333,7 @@ class SharedPool:
         self.queue = [e for e in self.queue if e.tenant != tenant]
         for task in run.tasks.values():
             if task.state == "running":
-                self._release_procs(tenant, task.task_id)
+                self._release_procs(task)
                 self.checker.on_kill(self.now, self._key(tenant, task.task_id))
                 if self.emit is not None:
                     self.emit(
@@ -369,7 +371,7 @@ class SharedPool:
             else:
                 victim = self.proc_owner.get(proc)
                 if victim is not None:
-                    notes.extend(self._kill(victim[0], victim[1], proc))
+                    notes.extend(self._kill(victim[0], victim[1]))
         elif kind == "recover":
             if proc not in self.down:
                 raise ServiceError(f"processor {proc} recovered while up")
@@ -439,7 +441,7 @@ class SharedPool:
     ) -> list[Notification]:
         notes: list[Notification] = []
         key = self._key(run.tenant, task.task_id)
-        self._release_procs(run.tenant, task.task_id)
+        self._release_procs(task)
         task.state = "done"
         task.end = self.now
         run.running_procs -= task.procs
@@ -473,16 +475,12 @@ class SharedPool:
             notes.append((run.tenant, self._graph_done_payload(run)))
         return notes
 
-    def _kill(self, tenant: str, task_id: str, failed_proc: int) -> list[Notification]:
+    def _kill(self, tenant: str, task_id: str) -> list[Notification]:
         """A fault killed a running attempt: free survivors, queue the retry."""
         run = self.tenants[tenant]
         task = run.tasks[task_id]
         key = self._key(tenant, task_id)
-        for q in tuple(self.proc_owner):
-            if self.proc_owner[q] == (tenant, task_id):
-                del self.proc_owner[q]
-                if q != failed_proc and q not in self.down:
-                    self.free_set.add(q)
+        self._release_procs(task)  # the failed processor is already down
         run.running_procs -= task.procs
         self.stats.killed += 1
         self.checker.on_kill(self.now, key)
@@ -541,12 +539,13 @@ class SharedPool:
                 )
         return notes
 
-    def _release_procs(self, tenant: str, task_id: str) -> None:
-        for q in tuple(self.proc_owner):
-            if self.proc_owner[q] == (tenant, task_id):
-                del self.proc_owner[q]
-                if q not in self.down:
-                    self.free_set.add(q)
+    def _release_procs(self, task: PoolTask) -> None:
+        """Return a running attempt's processors to the free set (down ones stay down)."""
+        for q in task.proc_ids:
+            del self.proc_owner[q]
+            if q not in self.down:
+                self.free_set.add(q)
+        task.proc_ids = ()
 
     def _scan(self) -> None:
         """One fair-share queue pass: start everything that fits.
@@ -595,8 +594,10 @@ class SharedPool:
         procs = entry.allocation.final
         ids = tuple(heapq.nsmallest(procs, self.free_set))
         self.free_set.difference_update(ids)
+        owner = (run.tenant, task.task_id)
         for q in ids:
-            self.proc_owner[q] = (run.tenant, task.task_id)
+            self.proc_owner[q] = owner
+        task.proc_ids = ids
         duration = task.model.time(procs)
         task.state = "running"
         task.start = self.now

@@ -3,37 +3,49 @@
 :class:`SchedulerServer` listens on a TCP socket, speaks the JSON-lines
 protocol of :mod:`repro.service.protocol`, and drives one
 :class:`~repro.service.core.ServiceCore`.  The concurrency design keeps
-the hardened core *synchronous and single-threaded*:
+the hardened core *synchronous and single-threaded* and serves one
+decision in one event-loop pass:
 
 * every connection gets a **session coroutine** that reads one line,
   parses it (malformed input is answered with a ``MALFORMED`` rejection
-  and never reaches the core), enqueues the request on the dispatcher
-  queue, and awaits the response before reading the next line — one
-  in-flight command per session, which is the protocol's flow control;
-* a single **dispatcher coroutine** consumes that queue, applies each
-  mutation through the core (validate → journal → apply), and routes
-  asynchronous notifications (task completions, evictions) to the owning
-  sessions.  Because only the dispatcher touches the core, mutations are
-  totally ordered — the property the journal and the digest tests rely
-  on;
-* whenever the dispatcher finds its queue empty while the pool still has
-  scheduled events, it **ticks virtual time** forward — so the simulated
-  platform advances exactly when the service has quiesced its input.
+  and never reaches the core), calls the core *inline*, and writes the
+  response before reading the next line — one in-flight command per
+  session, which is the protocol's flow control.  The event loop is
+  single-threaded and the core never awaits, so core mutations are
+  totally ordered without a queue or a lock — the property the journal
+  and the digest tests rely on;
+* write-ahead ordering lives in the core: a mutation is journaled and
+  flushed before :class:`~repro.service.core.ServiceCore` returns, and
+  only then does the session write the ack, so no client ever sees an
+  acknowledgement the journal does not hold;
+* one **ticker coroutine** advances virtual time while the pool has
+  scheduled events, yielding to the sessions between ticks, and sleeps
+  on an :class:`asyncio.Event` that handling a request sets whenever it
+  leaves events pending;
+* pool notifications (task completions, evictions) are **written
+  directly**: each routing pass encodes them into the owning session's
+  pending bytes and writes them in one call — or, for the session whose
+  request is being handled, together with its ack.
 
 Robustness properties enforced here:
 
-* the dispatcher queue and every per-session outbox are **bounded**;
-  a session whose client stops reading its notifications is evicted
-  (``SLOW_CONSUMER``) instead of buffering without limit;
+* a session whose client stops reading is evicted (``SLOW_CONSUMER``)
+  once its transport holds more than ``max_session_requests`` times
+  :data:`SLOW_CONSUMER_BYTES_PER_REQUEST` unsent bytes, instead of
+  buffering without limit;
 * per-session **wall-clock idle timeouts** cancel abandoned connections
-  and return their capacity to the pool;
+  and return their capacity to the pool.  One lazily re-armed
+  ``loop.call_later`` handle per session, armed only while the session
+  waits for a line, checks the time the wait began;
 * a client **disconnecting mid-stream** has its open session cancelled
   (``DISCONNECTED``) — processors are reclaimed immediately;
 * repeated malformed lines close the connection after
   ``MALFORMED_LIMIT`` strikes;
-* :meth:`SchedulerServer.kill` drops everything on the floor without
-  any graceful teardown, simulating a crash for the chaos harness —
-  recovery then proves the journal was sufficient.
+* :meth:`SchedulerServer.stop` and :meth:`SchedulerServer.kill` cancel
+  the ticker and every connection handler, so no session touches the
+  core afterwards; :meth:`~SchedulerServer.kill` drops everything on the
+  floor without any graceful teardown, simulating a crash for the chaos
+  harness — recovery then proves the journal was sufficient.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ from repro.exceptions import AdmissionRejected, ProtocolError, ServiceError
 from repro.obs.events import SimEvent
 from repro.service.config import ServiceConfig
 from repro.service.core import ServiceCore
+from repro.service.pool import Notification
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     Bye,
@@ -61,55 +74,89 @@ from repro.service.protocol import (
     parse_request,
 )
 
-__all__ = ["SchedulerServer", "MALFORMED_LIMIT"]
+__all__ = ["SchedulerServer", "MALFORMED_LIMIT", "SLOW_CONSUMER_BYTES_PER_REQUEST"]
 
 #: Protocol violations tolerated per connection before it is dropped.
 MALFORMED_LIMIT = 5
+
+#: Unsent bytes a session's transport may hold per ``max_session_requests``
+#: slot before the session counts as a slow consumer: 256 KiB at the
+#: default of 64, four times asyncio's write high-water mark, so a session
+#: paused on its own ack's flow control still has room for notifications.
+SLOW_CONSUMER_BYTES_PER_REQUEST = 4096
 
 
 class _Session:
     """Server-side connection state for one client."""
 
-    def __init__(self, server: "SchedulerServer", writer: asyncio.StreamWriter) -> None:
-        self.server = server
+    def __init__(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        idle_timeout: float | None,
+    ) -> None:
+        self.reader = reader
         self.writer = writer
+        self.idle_timeout = idle_timeout
         self.tenant: str | None = None
         self.closed = False
-        #: Bounded notification outbox (drained by the notifier task);
-        #: overflow is a protocol-level failure of the client, not ours.
-        self.outbox: asyncio.Queue[dict[str, Any] | None] = asyncio.Queue(
-            maxsize=server.config.max_session_requests
-        )
+        #: Encoded notifications not yet handed to the transport.
+        self.pending: list[bytes] = []
+        #: Loop time the current wait for a line began (None: not waiting).
+        self.read_since: float | None = None
+        self.idle_timer: asyncio.TimerHandle | None = None
 
-    def write_payload(self, payload: Mapping[str, Any]) -> None:
-        """Write one complete line (atomic append to the transport buffer)."""
+    async def read_line(self) -> bytes:
+        """One line from the client; raises ``TimeoutError`` after an idle wait."""
+        if self.idle_timeout is None:
+            return await self.reader.readline()
+        loop = asyncio.get_running_loop()
+        self.read_since = loop.time()
+        if self.idle_timer is None:
+            self.idle_timer = loop.call_later(self.idle_timeout, self._idle_check)
+        try:
+            return await self.reader.readline()
+        finally:
+            self.read_since = None
+
+    def _idle_check(self) -> None:
+        """Timer callback: fail the current wait for a line if it is too long.
+
+        The timer is not cancelled when a line arrives; it fires, finds
+        the session busy or waiting since later, and re-arms itself for
+        the time left of the current wait (or not at all).
+        """
+        self.idle_timer = None
+        if self.read_since is None or self.closed:
+            return
+        assert self.idle_timeout is not None
+        loop = asyncio.get_running_loop()
+        remaining = self.read_since + self.idle_timeout - loop.time()
+        if remaining > 0:
+            self.idle_timer = loop.call_later(remaining, self._idle_check)
+        else:
+            self.reader.set_exception(asyncio.TimeoutError())
+
+    def flush(self, payload: Mapping[str, Any] | None = None) -> None:
+        """Write pending notifications, then ``payload``, in one transport write."""
+        if payload is not None:
+            self.pending.append(encode_line(payload))
+        if not self.pending:
+            return
+        data = b"".join(self.pending)
+        self.pending.clear()
         if not self.closed:
             try:
-                self.writer.write(encode_line(payload))
+                self.writer.write(data)
             except (ConnectionError, RuntimeError):
                 self.closed = True
 
-    def offer_notification(self, payload: dict[str, Any]) -> bool:
-        """Queue a notification; False means the outbox is full (evict)."""
-        try:
-            self.outbox.put_nowait(payload)
-            return True
-        except asyncio.QueueFull:
-            return False
-
-    async def drain_outbox(self) -> None:
-        """Notifier task body: stream queued notifications to the client."""
-        while True:
-            payload = await self.outbox.get()
-            if payload is None:
-                return
-            self.write_payload(payload)
-            with contextlib.suppress(ConnectionError):
-                await self.writer.drain()
+    def unsent_bytes(self) -> int:
+        return self.writer.transport.get_write_buffer_size()
 
 
 class SchedulerServer:
-    """One service instance: TCP listener + dispatcher + shared core."""
+    """One service instance: TCP listener + virtual-time ticker + shared core."""
 
     def __init__(
         self,
@@ -130,19 +177,21 @@ class SchedulerServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
-        self._dispatcher: asyncio.Task[None] | None = None
-        self._queue: asyncio.Queue[
-            tuple[str, _Session | None, Request | None, asyncio.Future[Any] | None]
-        ] = asyncio.Queue(maxsize=config.max_queue_depth)
+        self._ticker: asyncio.Task[None] | None = None
+        self._wake = asyncio.Event()
         self._sessions: dict[str, _Session] = {}
-        self._tasks: set[asyncio.Task[Any]] = set()
+        #: Connection-handler task -> its session, for teardown.
+        self._handlers: dict[asyncio.Task[Any], _Session] = {}
+        self._slow_consumer_bytes = (
+            config.max_session_requests * SLOW_CONSUMER_BYTES_PER_REQUEST
+        )
         self._running = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind the listener and start the dispatcher; returns (host, port)."""
+        """Bind the listener and start the ticker; returns (host, port)."""
         if self._running:
             raise ServiceError("server already started")
         self._running = True
@@ -154,22 +203,19 @@ class SchedulerServer:
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._ticker = asyncio.create_task(self._tick_loop())
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, flush, close the journal."""
+        """Graceful shutdown: stop accepting, close sessions, close the journal."""
         if not self._running:
             return
         self._running = False
         if self._server is not None:
             self._server.close()
+        await self._teardown(abort=False)
+        if self._server is not None:
             await self._server.wait_closed()
-        await self._queue.put(("stop", None, None, None))
-        if self._dispatcher is not None:
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._dispatcher
-        await self._teardown_sessions()
         self.core.close_journal()
 
     async def kill(self) -> None:
@@ -183,55 +229,50 @@ class SchedulerServer:
         self._running = False
         if self._server is not None:
             self._server.close()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._dispatcher
-        await self._teardown_sessions(abort=True)
+        await self._teardown(abort=True)
         self.core.close_journal()
 
-    async def _teardown_sessions(self, *, abort: bool = False) -> None:
-        for task in list(self._tasks):
+    async def _teardown(self, *, abort: bool) -> None:
+        """Cancel the ticker and every connection handler (each closes its writer).
+
+        ``abort`` drops the connections first, with their unsent bytes.
+        """
+        for session in self._handlers.values():
+            session.closed = True
+            if abort:
+                session.writer.transport.abort()
+        tasks = list(self._handlers)
+        if self._ticker is not None:
+            tasks.append(self._ticker)
+        for task in tasks:
             task.cancel()
-        for task in list(self._tasks):
+        for task in tasks:
             with contextlib.suppress(asyncio.CancelledError, Exception):
                 await task
-        self._tasks.clear()
-        for session in list(self._sessions.values()):
-            session.closed = True
-            transport = session.writer.transport
-            if abort and transport is not None:
-                transport.abort()
-            else:
-                with contextlib.suppress(ConnectionError, RuntimeError):
-                    session.writer.close()
+        self._handlers.clear()
         self._sessions.clear()
 
     # ------------------------------------------------------------------
-    # Dispatcher: the only code path that mutates the core
+    # Virtual time
     # ------------------------------------------------------------------
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if self._queue.empty() and self.core.pool.has_pending_events():
-                self._route(self.core.tick())
-                await asyncio.sleep(0)  # let sessions enqueue between ticks
-                continue
-            kind, session, request, future = await self._queue.get()
-            if kind == "stop":
-                return
-            if kind == "detach":
-                assert session is not None
-                self._detach(session)
-                continue
-            assert session is not None and request is not None and future is not None
-            if not future.cancelled():
-                try:
-                    future.set_result(self._handle(session, request))
-                except ServiceError as exc:
-                    future.set_result(self._rejection(exc))
-                except Exception as exc:  # pragma: no cover - hardening
-                    future.set_exception(exc)
+    def _kick(self) -> None:
+        """Wake the ticker if the pool has events to advance through."""
+        if self.core.pool.has_pending_events():
+            self._wake.set()
 
+    async def _tick_loop(self) -> None:
+        pool = self.core.pool
+        while True:
+            if pool.has_pending_events():
+                self._route(self.core.tick())
+                await asyncio.sleep(0)  # let sessions run between ticks
+            else:
+                self._wake.clear()
+                await self._wake.wait()
+
+    # ------------------------------------------------------------------
+    # Requests: called inline by the session coroutines
+    # ------------------------------------------------------------------
     def _rejection(self, exc: ServiceError) -> dict[str, Any]:
         payload: dict[str, Any] = {
             "ok": False,
@@ -242,6 +283,15 @@ class SchedulerServer:
         if isinstance(exc, AdmissionRejected) and retry_after is not None:
             payload["retry_after"] = retry_after
         return payload
+
+    def _respond(self, session: _Session, request: Request) -> dict[str, Any]:
+        """Apply one request through the core; the response payload."""
+        try:
+            return self._handle(session, request)
+        except ServiceError as exc:
+            return self._rejection(exc)
+        finally:
+            self._kick()
 
     def _handle(self, session: _Session, request: Request) -> dict[str, Any]:
         core = self.core
@@ -265,43 +315,66 @@ class SchedulerServer:
             raise ProtocolError("say hello first (session is not bound to a tenant)")
         if isinstance(request, Submit):
             info, notes = core.submit(tenant, request)
-            self._route(notes)
+            self._route(notes, current=session)
             return {"ok": True, "op": "submit", "info": info}
         if isinstance(request, CloseGraph):
             info, notes = core.close(tenant)
-            self._route(notes)
+            self._route(notes, current=session)
             return {"ok": True, "op": "close", "info": info}
         if isinstance(request, Cancel):
             return {"ok": True, "op": "cancel", "info": core.cancel(tenant)}
         raise ProtocolError(f"unhandled request {type(request).__name__}")
 
-    def _route(self, notes: list[tuple[str, dict[str, Any]]]) -> None:
-        """Deliver pool notifications to the owning sessions (best effort)."""
+    def _route(self, notes: list[Notification], current: _Session | None = None) -> None:
+        """Deliver pool notifications to the owning sessions (best effort).
+
+        Each session touched gets one transport write per pass; the
+        ``current`` session (whose request is being handled) keeps its
+        notifications pending so that they go out with its ack.
+        """
+        touched: list[_Session] = []
         for tenant, payload in notes:
             session = self._sessions.get(tenant)
             if session is None or session.closed:
                 continue  # tenant gone; the journal still has the ground truth
-            if not session.offer_notification(payload):
-                # Slow consumer: evict rather than buffer without bound.
-                with contextlib.suppress(ServiceError):
-                    self.core.cancel(tenant, reason="SLOW_CONSUMER")
-                session.offer_notification(
-                    {
-                        "event": "evicted",
-                        "reason": "SLOW_CONSUMER",
-                        "message": "notification outbox overflowed",
-                    }
-                )
-                self._detach(session)
+            if not session.pending:
+                touched.append(session)
+            session.pending.append(encode_line(payload))
+        for session in touched:
+            if session.unsent_bytes() > self._slow_consumer_bytes:
+                self._evict_slow_consumer(session)
+            if session is not current:
+                session.flush()
+
+    def _evict_slow_consumer(self, session: _Session) -> None:
+        """Cancel a session whose client stopped reading; keep only the notice."""
+        tenant = session.tenant
+        assert tenant is not None
+        with contextlib.suppress(ServiceError):
+            self.core.cancel(tenant, reason="SLOW_CONSUMER")
+        session.pending = [
+            encode_line(
+                {
+                    "event": "evicted",
+                    "reason": "SLOW_CONSUMER",
+                    "message": f"over {self._slow_consumer_bytes} unsent bytes",
+                }
+            )
+        ]
+        self._detach(session)
 
     def inject_fault(self, kind: str, proc: int) -> None:
         """Apply one processor fault and route its notifications.
 
         For the chaos harness and fault drivers.  Synchronous, so it
-        cannot interleave with a dispatcher mutation in flight — the
-        single-threaded event loop is the lock.
+        cannot interleave with a request in flight — the single-threaded
+        event loop is the lock.  Refused once the server is stopped or
+        killed: no mutation may follow the teardown.
         """
+        if not self._running:
+            raise ServiceError("server is not running")
         self._route(self.core.fault(kind, proc))
+        self._kick()
 
     def _detach(self, session: _Session) -> None:
         """Unbind a session; cancel its tenant if the graph is still open."""
@@ -322,21 +395,18 @@ class SchedulerServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        session = _Session(self, writer)
-        notifier = asyncio.create_task(session.drain_outbox())
-        self._tasks.add(notifier)
-        notifier.add_done_callback(self._tasks.discard)
         timeout = self.config.session_idle_timeout_s
+        session = _Session(reader, writer, timeout)
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._handlers[handler] = session
         try:
             malformed = 0
             while self._running:
                 try:
-                    if timeout is None:
-                        line = await reader.readline()
-                    else:
-                        line = await asyncio.wait_for(reader.readline(), timeout)
+                    line = await session.read_line()
                 except asyncio.TimeoutError:
-                    session.write_payload(
+                    session.flush(
                         {
                             "event": "evicted",
                             "reason": "DEADLINE_EXCEEDED",
@@ -352,18 +422,13 @@ class SchedulerServer:
                     request = parse_request(decode_line(line))
                 except ProtocolError as exc:
                     malformed += 1
-                    session.write_payload(self._rejection(exc))
+                    session.flush(self._rejection(exc))
                     with contextlib.suppress(ConnectionError):
                         await writer.drain()
                     if malformed >= MALFORMED_LIMIT:
                         break
                     continue
-                future: asyncio.Future[dict[str, Any]] = (
-                    asyncio.get_running_loop().create_future()
-                )
-                await self._queue.put(("request", session, request, future))
-                response = await future
-                session.write_payload(response)
+                session.flush(self._respond(session, request))
                 with contextlib.suppress(ConnectionError):
                     await writer.drain()
                 if isinstance(request, Bye):
@@ -374,9 +439,11 @@ class SchedulerServer:
             pass
         finally:
             session.closed = True
-            notifier.cancel()
+            if session.idle_timer is not None:
+                session.idle_timer.cancel()
+            self._handlers.pop(handler, None)
             if self._running:
-                with contextlib.suppress(asyncio.QueueFull):
-                    self._queue.put_nowait(("detach", session, None, None))
+                self._detach(session)
+                self._kick()
             with contextlib.suppress(ConnectionError, RuntimeError):
                 writer.close()

@@ -1,5 +1,7 @@
 """ServiceCore: admission, quotas, backpressure, shedding, recovery."""
 
+import json
+
 import pytest
 
 from repro.exceptions import (
@@ -8,11 +10,20 @@ from repro.exceptions import (
     QuotaExceeded,
     SessionClosed,
 )
+from repro.graph.io import model_from_dict, model_to_dict
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.core import ServiceCore
 from repro.service.journal import read_journal
 from repro.service.protocol import Hello, Submit
-from repro.speedup import AmdahlModel
+from repro.speedup import (
+    AmdahlModel,
+    CommunicationModel,
+    GeneralModel,
+    LogParallelismModel,
+    PowerLawModel,
+    RooflineModel,
+    TabulatedModel,
+)
 
 
 def submit_n(core, tenant, count, prefix="t"):
@@ -234,3 +245,59 @@ class TestStatus:
         assert status["tenants"]["a"]["inflight"] == 1
         assert status["free"] < 4
         assert status["journal_records"] is None
+
+
+def one_model_per_family():
+    """A model of every kind ``model_to_dict`` serializes."""
+    return [
+        RooflineModel(12.0, 5),
+        CommunicationModel(30.0, 0.25),
+        AmdahlModel(8.0, 1.5),
+        GeneralModel(50.0, d=0.5, c=0.01, max_parallelism=24),
+        GeneralModel(7.0 / 3.0, d=0.1),
+        PowerLawModel(20.0, 0.7),
+        LogParallelismModel(9.0),
+        TabulatedModel([10.0, 6.0, 4.5, 4.0, 4.2]),
+    ]
+
+
+class TestParseOnce:
+    """The live pool applies the parsed model; recovery rebuilds it from its dict.
+
+    Both paths must yield the same allocator cache identity and the same
+    execution time on every processor count, or recovery would diverge.
+    """
+
+    def test_families_are_covered(self):
+        kinds = {model_to_dict(m)["kind"] for m in one_model_per_family()}
+        assert kinds == {
+            "roofline", "communication", "amdahl", "general", "power", "log", "tabulated",
+        }
+
+    @pytest.mark.parametrize("model", one_model_per_family(), ids=repr)
+    def test_dict_round_trip_is_exact(self, model):
+        rebuilt = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert type(rebuilt) is type(model)
+        assert rebuilt.cache_key() == model.cache_key()
+        for p in (*range(1, 65), 100, 128, 1000, 4096):
+            assert rebuilt.time(p).hex() == model.time(p).hex()
+
+    def test_live_and_recovered_digests_agree_on_every_family(self, tmp_path):
+        journal = tmp_path / "wal.jsonl"
+        core = ServiceCore(ServiceConfig(P=16, family="general"), journal_path=journal)
+        core.hello(Hello(tenant="a"))
+        core.hello(Hello(tenant="b", max_running_procs=6))
+        prev = None
+        for i, model in enumerate(one_model_per_family()):
+            deps = (prev,) if prev is not None and i % 2 else ()
+            core.submit("a", Submit(task=f"a{i}", model=model, deps=deps))
+            core.submit("b", Submit(task=f"b{i}", model=model))
+            prev = f"a{i}"
+            core.tick(max_events=1)
+        core.close("a")
+        core.drain()
+        digest = core.state_digest()
+        core.close_journal()
+        recovered = ServiceCore.recover(journal, reopen=False)
+        assert recovered.state_digest() == digest
+        assert recovered.pool.tenants["a"].status == "finished"

@@ -8,10 +8,16 @@ import asyncio
 
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, SessionClosed
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.core import ServiceCore
+from repro.service.protocol import (
+    Submit,
+    decode_line,
+    encode_line,
+    request_to_dict,
+)
 from repro.service.server import MALFORMED_LIMIT, SchedulerServer
 from repro.speedup import AmdahlModel
 
@@ -152,7 +158,7 @@ class TestRobustness:
                 await client.hello("busy", max_inflight_tasks=1)
                 # Fail the only processor first: "first" queues with no
                 # capacity to run on, so it pins the inflight quota (the
-                # dispatcher ticks virtual time eagerly — a runnable task
+                # ticker advances virtual time eagerly — a runnable task
                 # would complete between two wire requests).
                 server.inject_fault("fail", 0)
                 await client.submit("first", AmdahlModel(5.0, 1.0))
@@ -222,3 +228,148 @@ class TestCrashRecovery:
 
         run(before())
         run(after())
+
+
+async def wait_until(predicate, *, timeout=5.0):
+    for _ in range(int(timeout / 0.01)):
+        if predicate():
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError("condition not reached in time")
+
+
+class TestIdleTimeout:
+    def test_silent_session_is_evicted_and_reclaimed(self):
+        async def scenario():
+            server, host, port = await boot(make_config(session_idle_timeout_s=0.2))
+            try:
+                client = await ServiceClient.connect(host, port)
+                await client.hello("sleepy")
+                await client.submit("a", AmdahlModel(1000.0, 1.0))
+                terminal, _ = await client.wait_graph_done(timeout=5.0)
+                assert terminal["event"] == "evicted"
+                assert terminal["reason"] == "DEADLINE_EXCEEDED"
+                with pytest.raises(SessionClosed):
+                    await client.next_notification(timeout=5.0)
+                pool = server.core.pool
+                await wait_until(lambda: not pool.tenants["sleepy"].active)
+                assert pool.tenants["sleepy"].status == "cancelled"
+                assert pool.tenants["sleepy"].running_procs == 0
+                assert len(pool.free_set) == 4
+                await client.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+    def test_session_that_keeps_talking_is_never_evicted(self):
+        async def scenario():
+            server, host, port = await boot(make_config(session_idle_timeout_s=0.2))
+            try:
+                client = await ServiceClient.connect(host, port)
+                await client.hello("chatty")
+                loop = asyncio.get_running_loop()
+                until = loop.time() + 0.7
+                while loop.time() < until:
+                    await client.status()
+                    await asyncio.sleep(0.05)
+                assert all(n.get("event") != "evicted" for n in client.notifications)
+                assert server.core.pool.tenants["chatty"].active
+                await client.submit("a", AmdahlModel(4.0, 1.0))
+                await client.close_graph()
+                terminal, _ = await client.wait_graph_done()
+                assert terminal["event"] == "graph-done"
+                await client.bye()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+
+class TestSlowConsumer:
+    def test_stalled_reader_is_evicted_and_others_unaffected(self):
+        async def scenario():
+            server, host, port = await boot(make_config())
+            try:
+                slow = await ServiceClient.connect(host, port)
+                await slow.hello("slow")
+                # The server-side transport of "slow" reports a backlog far
+                # past the bound, as if its client had stopped reading.
+                transport = server._sessions["slow"].writer.transport
+                transport.get_write_buffer_size = lambda: 1 << 30
+                slow.writer.write(encode_line(request_to_dict(
+                    Submit(task="a", model=AmdahlModel(50.0, 1.0))
+                )))
+                await slow.writer.drain()
+
+                good = await ServiceClient.connect(host, port)
+                await good.hello("good")
+                await good.submit("x", AmdahlModel(8.0, 1.0))
+                await good.submit("y", AmdahlModel(8.0, 1.0), deps=("x",))
+                await good.close_graph()
+                terminal, prior = await good.wait_graph_done()
+                assert terminal["event"] == "graph-done"
+                assert [n["task"] for n in prior if n["event"] == "task-done"] == ["x", "y"]
+
+                pool = server.core.pool
+                await wait_until(lambda: not pool.tenants["slow"].active)
+                run_state = pool.tenants["slow"]
+                assert (run_state.status, run_state.reason) == ("cancelled", "SLOW_CONSUMER")
+                assert run_state.running_procs == 0
+                assert run_state.inflight == 0
+                assert len(pool.free_set) == 4
+                pool.check_conservation()
+
+                assert (await slow._read_payload())["ok"]  # the submit's ack
+                terminal, _ = await slow.wait_graph_done()
+                assert (terminal["event"], terminal["reason"]) == ("evicted", "SLOW_CONSUMER")
+                await good.bye()
+                await slow.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+
+class TestDecisionPath:
+    def test_closed_loop_submits_create_no_tasks(self):
+        """Serving a request must not spawn a Task (nor need one per read)."""
+
+        async def scenario():
+            server, host, port = await boot(make_config(P=8))
+            try:
+                reader, writer = await asyncio.open_connection(host, port)
+
+                async def request(payload):
+                    writer.write(encode_line(payload))
+                    await writer.drain()
+                    while True:
+                        reply = decode_line(await reader.readline())
+                        if "ok" in reply:
+                            return reply
+
+                assert (await request({"op": "hello", "tenant": "loop"}))["ok"]
+                loop = asyncio.get_running_loop()
+                created = []
+
+                def counting_factory(loop, coro, **kwargs):
+                    created.append(coro)
+                    return asyncio.Task(coro, loop=loop, **kwargs)
+
+                loop.set_task_factory(counting_factory)
+                try:
+                    acks = [
+                        await request(request_to_dict(
+                            Submit(task=f"t{i}", model=AmdahlModel(2.0, 0.5))
+                        ))
+                        for i in range(200)
+                    ]
+                finally:
+                    loop.set_task_factory(None)
+                assert all(ack["ok"] for ack in acks)
+                assert created == []
+                writer.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
