@@ -1,39 +1,21 @@
-"""Batched structure-of-arrays engine backend.
+"""Batched structure-of-arrays simulation of fault-free runs.
 
 A vectorized NumPy implementation of the fault-free engine loop that
 simulates whole batches of independent runs in one pass, bit-identical to
-the reference engine on its supported subset (see
-:mod:`repro.batch.adapter` for the exact boundary).  Select it ambiently::
-
-    from repro.sim.backend import use_backend
-
-    with use_backend("batch"):
-        result = ListScheduler(P, allocator).run(StaticGraphSource(graph))
-
-or drive batches directly::
+:class:`~repro.sim.engine.ListScheduler` on its supported subset (see
+:mod:`repro.batch.adapter` for the exact boundary)::
 
     from repro.batch import run_batch
 
     outcome = run_batch([(graph, P) for P in (8, 16, 32)], allocator)
 
-Importing this package registers the ``"batch"`` backend.
+It is not an engine backend: every simulation the library runs goes
+through the reference engine.  ``run_batch`` is kept as a measured
+comparison point (the benchmark's ``batch.vs_reference``).
 """
 
-from repro.batch.adapter import (
-    BatchBackend,
-    BatchOutcome,
-    materialize_result,
-    run_batch,
-    simulate,
-)
+from repro.batch.adapter import BatchOutcome, materialize_result, run_batch
 from repro.batch.engine import BatchEngine
-from repro.batch.kernels import (
-    KERNEL_NAMES,
-    available_kernels,
-    numba_available,
-    resolve_kernel,
-    use_kernel,
-)
 from repro.batch.layout import (
     BatchCompiler,
     CompiledBatch,
@@ -45,22 +27,15 @@ from repro.batch.layout import (
 )
 
 __all__ = [
-    "BatchBackend",
     "BatchCompiler",
     "BatchEngine",
     "BatchOutcome",
     "CompiledBatch",
     "CompiledRun",
     "CompiledStructure",
-    "KERNEL_NAMES",
-    "available_kernels",
     "compile_batch",
     "compile_run",
     "compile_structure",
     "materialize_result",
-    "numba_available",
-    "resolve_kernel",
     "run_batch",
-    "simulate",
-    "use_kernel",
 ]

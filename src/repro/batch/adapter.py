@@ -1,61 +1,38 @@
-"""Backend adapter: the batch engine behind the reference engine's API.
+"""The batch engine behind the reference engine's result types.
 
-Three entry points, from lowest to highest level:
+Two entry points:
 
 * :func:`materialize_result` — convert one run of a finished
   :class:`~repro.batch.engine.BatchEngine` back into the reference
   engine's :class:`~repro.sim.engine.SimulationResult` (object schedule,
   allocation dict, reveal times, stats).
-* :func:`run_batch` / :func:`simulate` — simulate many ``(graph, P)``
-  runs in one vectorized pass (or one run, drop-in for
-  ``ListScheduler(...).run(source)`` on the supported subset).
-* :class:`BatchBackend` — the :class:`~repro.sim.backend.EngineBackend`
-  implementation behind ``use_backend("batch")``; importing this module
-  registers it.
+* :func:`run_batch` — simulate many ``(graph, P)`` runs in one
+  vectorized pass.
 
 The batch engine covers the paper's core setting: fault-free FIFO list
 scheduling of a static graph with allocators that are pure functions of
-``(model, P)``.  Everything else — priority rules, ``free``-aware
-allocators, adaptive/timed sources, already-consumed sources — raises
-:class:`~repro.exceptions.BatchUnsupportedError`, which
-:meth:`~repro.sim.engine.ListScheduler.run` treats as "fall back to the
-reference loop".  Fault injection and invariant checking never reach the
-backend at all (the engine gates them earlier); event tracing *does* —
-traced runs compile with capture enabled and replay their event stream
-post-hoc through :mod:`repro.batch.trace`, digest-identical to the
-reference engine's.
+``(model, P)``.  An allocator that reads the live free count raises
+:class:`~repro.exceptions.BatchUnsupportedError` at compilation.  Faults,
+priority rules, other graph sources, invariant checks and tracing are the
+reference engine's (:meth:`~repro.sim.engine.ListScheduler.run`) alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.batch.engine import BatchEngine
 from repro.batch.layout import BatchCompiler, compile_batch
-from repro.batch.trace import Emit, check_traceable, emit_run_trace
-from repro.exceptions import BatchUnsupportedError
 from repro.graph.taskgraph import TaskGraph
 from repro.obs.metrics import active_metrics
 from repro.sim.allocation import Allocation, Allocator
-from repro.sim.backend import register_backend
 from repro.sim.engine import EngineStats, SimulationResult
 from repro.sim.schedule import Schedule
-from repro.sim.sources import StaticGraphSource
 
-if TYPE_CHECKING:
-    from repro.sim.engine import ListScheduler
-    from repro.sim.sources import GraphSource
-
-__all__ = [
-    "BatchBackend",
-    "BatchOutcome",
-    "materialize_result",
-    "run_batch",
-    "simulate",
-]
+__all__ = ["BatchOutcome", "materialize_result", "run_batch"]
 
 
 def materialize_result(
@@ -140,8 +117,6 @@ def run_batch(
     *,
     compiler: BatchCompiler | None = None,
     materialize: bool = True,
-    kernel: str | None = None,
-    emit: "Emit | None" = None,
 ) -> BatchOutcome:
     """Simulate every ``(graph, P)`` run in one vectorized pass.
 
@@ -153,25 +128,9 @@ def run_batch(
     skipping the per-task Python object construction — the configuration
     throughput benchmarks use, and the right choice whenever only
     aggregate statistics of a sweep are needed.
-
-    ``kernel`` pins a compute kernel (``"numpy"``/``"numba"``/
-    ``"python"``); by default resolution follows
-    :func:`repro.batch.kernels.resolve_kernel` (ambient selection, then
-    ``REPRO_BATCH_KERNEL``, then auto).  All kernels are bit-identical.
-
-    ``emit`` enables trace capture: after the kernels drain, every run's
-    event stream is reconstructed (:mod:`repro.batch.trace`) and replayed
-    through the callable, run by run in input order — digest-identical to
-    tracing each run on the reference engine.
     """
-    compiled = compile_batch(items, allocator, compiler, capture_trace=emit is not None)
-    if emit is not None:
-        for run in compiled.runs:  # repro-lint: disable=RL008 -- per-run trace guard
-            check_traceable(run)
-    engine = BatchEngine(compiled, kernel=kernel).run()
-    if emit is not None:
-        for b in range(engine.B):  # repro-lint: disable=RL008 -- per-run trace replay
-            emit_run_trace(engine, b, emit)
+    compiled = compile_batch(items, allocator, compiler)
+    engine = BatchEngine(compiled).run()
     results: tuple[SimulationResult, ...] = ()
     if materialize:
         results = tuple(
@@ -195,7 +154,7 @@ def run_batch(
             help="cache-key groups resolved by vectorized allocation",
         ).inc(sum(run.vectorized_groups for run in compiled.runs))
         registry.counter(
-            "batch.compactions", help="queue compaction passes in the batch kernels"
+            "batch.compactions", help="queue compaction passes in the batch kernel"
         ).inc(int(engine.compactions.sum()))
         registry.counter(
             "batch.block_skips",
@@ -204,70 +163,3 @@ def run_batch(
     return BatchOutcome(
         makespans=engine.makespans, results=results, engine=engine
     )
-
-
-def simulate(graph: TaskGraph, P: int, allocator: Allocator) -> SimulationResult:
-    """Drop-in for ``ListScheduler(P, allocator).run(StaticGraphSource(graph))``.
-
-    One-run convenience over :func:`run_batch`; bit-identical to the
-    reference engine on the supported subset, and raising
-    :class:`~repro.exceptions.BatchUnsupportedError` outside it.
-    """
-    return run_batch([(graph, P)], allocator).results[0]
-
-
-class BatchBackend:
-    """The registered ``"batch"`` :class:`~repro.sim.backend.EngineBackend`.
-
-    One instance lives per :func:`~repro.sim.backend.use_backend` block
-    and carries a :class:`~repro.batch.layout.BatchCompiler`, so repeated
-    runs of the same graph object inside one block share compilation.
-    """
-
-    name = "batch"
-
-    def __init__(self) -> None:
-        self.compiler = BatchCompiler()
-
-    def simulate(
-        self,
-        scheduler: "ListScheduler",
-        source: "GraphSource",
-        *,
-        emit: "Emit | None" = None,
-    ) -> SimulationResult:
-        if scheduler.priority is not None:
-            raise BatchUnsupportedError(
-                "the batch engine only implements FIFO queue order",
-                feature="priority-rule",
-            )
-        if type(source) is not StaticGraphSource:
-            # Adaptive adversaries decide structure online per completion;
-            # timed sources add release events; subclasses may override
-            # reveal behavior.  All are reference-engine territory.
-            raise BatchUnsupportedError(
-                f"the batch engine requires a StaticGraphSource, "
-                f"got {type(source).__name__}",
-                feature="source",
-            )
-        if source._revealed or source._completed:
-            raise BatchUnsupportedError(
-                "source was already partially consumed by another engine",
-                feature="consumed-source",
-            )
-        graph = source.realized_graph()
-        outcome = run_batch(
-            [(graph, scheduler.P)],
-            scheduler.allocator,
-            compiler=self.compiler,
-            emit=emit,
-        )
-        # Leave the source in the exhausted state the reference loop
-        # would: every task revealed and completed (so is_exhausted()
-        # agrees, and stray on_complete calls fail the same way).
-        source._revealed.update(graph)
-        source._completed.update(graph)
-        return outcome.results[0]
-
-
-register_backend("batch", BatchBackend)

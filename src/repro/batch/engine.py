@@ -1,15 +1,11 @@
-"""The batch engine: a kernel orchestrator over dense run arrays.
+"""The batch engine: the vectorized event loop over dense run arrays.
 
 One :class:`BatchEngine` advances ``B`` independent runs to completion.
-Since the kernel-tier split, the engine itself owns no event loop: it
-allocates the :class:`~repro.batch.kernels.KernelIO` array bundle,
-resolves which kernel implementation runs (``numpy`` whole-array tier,
-optional ``numba``-compiled tier, or the uncompiled ``python`` loop tier
-— see :mod:`repro.batch.kernels`), delegates, and performs the drain
-check.  All kernels are bit-identical on the result arrays; selection is
-a performance choice, never a semantics change.
+It allocates the :class:`~repro.batch.kernels.KernelIO` array bundle,
+runs the whole-array kernel of :mod:`repro.batch.kernels` and performs
+the drain check.
 
-**Bit-identity with the reference engine** (all kernels inherit this):
+**Bit-identity with the reference engine:**
 
 * durations/allocations come precomputed from :mod:`repro.batch.layout`
   via the same scalar calls (or their proven-identical vectorized forms)
@@ -27,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch.kernels import KernelIO, make_io, resolve_kernel, run_kernel
+from repro.batch.kernels import KernelIO, NumpyKernel, make_io
 from repro.batch.layout import CompiledBatch
 from repro.exceptions import SimulationError
 
@@ -37,18 +33,14 @@ __all__ = ["BatchEngine"]
 class BatchEngine:
     """Vectorized simulation of one :class:`~repro.batch.layout.CompiledBatch`.
 
-    Build (optionally pinning a kernel — default resolves through
-    :func:`~repro.batch.kernels.resolve_kernel`: explicit argument, then
-    the ambient :func:`~repro.batch.kernels.use_kernel` selection, then
-    ``REPRO_BATCH_KERNEL``, then auto), call :meth:`run` once, then read
-    the result arrays (``start_t``/``end_t``/``start_seq``/``reveal_seq``/
-    ``reveal_t``/``makespans``) or hand the engine to
+    Build, call :meth:`run` once, then read the result arrays
+    (``start_t``/``end_t``/``start_seq``/``reveal_seq``/``reveal_t``/
+    ``makespans``) or hand the engine to
     :func:`repro.batch.adapter.materialize_result`.
     """
 
-    def __init__(self, compiled: CompiledBatch, kernel: str | None = None) -> None:
+    def __init__(self, compiled: CompiledBatch) -> None:
         self.compiled = compiled
-        self.kernel_name = resolve_kernel(kernel)
         self.B = compiled.B
         self.N = compiled.N
         self.io: KernelIO = make_io(compiled)
@@ -74,19 +66,18 @@ class BatchEngine:
         if self._ran:
             raise SimulationError("BatchEngine.run() may only be called once")
         self._ran = True
-        run_kernel(self.kernel_name, self.io)
+        NumpyKernel(self.io).run()
         self._check_drained()
         return self
 
     # ------------------------------------------------------------------
     def _check_drained(self) -> None:
-        """Validate the post-drain state, kernel-independently.
+        """Validate the post-drain state.
 
         Works purely off the result arrays (revealed = ``reveal_seq >= 0``,
-        started = ``start_seq >= 0``), so one check covers every kernel;
-        stuck tasks are reported in reveal order — identical to the
-        pre-split engine's queue-order listing, because queues append in
-        reveal order and compaction is stable.
+        started = ``start_seq >= 0``); stuck tasks are reported in reveal
+        order, which is queue order because queues append in reveal order
+        and compaction is stable.
         """
         io = self.io
         started = io.start_seq.reshape(self.B, self.N) >= 0

@@ -1,81 +1,29 @@
-"""Interchangeable compute kernels behind the batch engine.
+"""The batch engine's vectorized event loop.
 
-:class:`~repro.batch.engine.BatchEngine` no longer owns its event loop:
-the vectorized steps (completion-time resolution, free-slot stack, FIFO
-block-minimum queue scan, cumsum-scatter compaction, successor indegree
-decrement) live here behind a strict **arrays-in/arrays-out contract**
-(:class:`KernelIO`), with interchangeable implementations:
+The whole-array kernel behind :class:`~repro.batch.engine.BatchEngine`:
+completion-time resolution, free-slot stack, FIFO block-minimum queue
+scan, cumsum-scatter compaction and successor indegree decrement, all
+with a leading batch axis so each main-loop iteration advances *every*
+active run at once.  It reads and writes plain arrays only
+(:class:`KernelIO`); the engine builds the bundle and checks the drain.
 
-``numpy``
-    The whole-array tier: every state component carries a leading batch
-    axis and each main-loop iteration advances *all* active runs at once.
-    This is PR 7's engine, verbatim — the authoritative kernel.
-``numba``
-    An optional compiled tier: the same event loop written as plain
-    per-run Python loops and JIT-compiled with ``numba.njit(cache=True)``.
-    Requested via ``--kernel numba`` / ``REPRO_BATCH_KERNEL=numba`` (or
-    installed with ``pip install .[fast]``); when numba is absent the
-    request **gracefully degrades to numpy** — selection is a performance
-    hint, never a semantics change, exactly like backend selection.
-``python``
-    The numba tier's loop bodies executed uncompiled.  Slow, but it
-    proves the loop implementation itself (not numba) is bit-identical —
-    CI and the test suite exercise it even on numba-free installs.
-
-Every kernel fills the *same* output arrays from the same inputs and must
-be bit-identical: same ``start_t``/``end_t`` floats, same start/reveal
-sequences.  ``python -m repro.batch.verify`` pins this per kernel.  Only
-the observability counters (``ev_count``/``scan_passes``/``scan_elems``)
-are kernel-specific — they measure the work *this* implementation did,
-and are excluded from result digests.
-
-**Why the loop tier is bit-identical** (the argument, kept next to the
-code): both tiers schedule by FIFO first-fit over the same queue order —
-the numpy tier's cumulative-prefix window plus blocker continuation
-starts exactly the entries an in-order walk with a shrinking budget
-starts.  Event times are exact float minima with exact-equality drains;
-completion side effects (freeing processors, indegree decrements, the
-max-start-seq reveal key) are order-independent integer math; reveal
-order is ``(max start-seq among completing predecessors, column)`` in
-both; and every float written (``end = now + duration``) is the same
-IEEE-754 double operation on the same operands.
+Only the observability counters (``ev_count``/``scan_passes``/
+``scan_elems``/``compactions``/``block_skips``) describe this
+implementation's own work; every other output is bit-identical to the
+reference engine and enters result digests.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, TypeVar
 
 import numpy as np
 
 from repro.batch.layout import HUGE_DEMAND, CompiledBatch
-from repro.exceptions import InvalidParameterError
 
-__all__ = [
-    "KERNEL_NAMES",
-    "KernelIO",
-    "active_kernel_name",
-    "available_kernels",
-    "loop_kernel",
-    "make_io",
-    "numba_available",
-    "resolve_kernel",
-    "run_kernel",
-    "use_kernel",
-]
+__all__ = ["KernelIO", "NumpyKernel", "make_io"]
 
-#: Names accepted by ``--kernel`` / ``REPRO_BATCH_KERNEL`` /
-#: :func:`use_kernel`.  ``"auto"`` resolves to numba when importable and
-#: numpy otherwise; ``"python"`` is the uncompiled loop tier (testing).
-KERNEL_NAMES = ("auto", "numpy", "numba", "python")
-
-#: Environment variable consulted when no explicit selection is active.
-KERNEL_ENV_VAR = "REPRO_BATCH_KERNEL"
-
-#: Block size of the numpy tier's queue block-minimum index.
+#: Block size of the queue block-minimum index.
 _BK = 64
 #: Compact a run's queue once it holds this many holes and they outnumber
 #: live entries (amortized O(1) per start).
@@ -83,113 +31,17 @@ _COMPACT_MIN_HOLES = 256
 
 
 # ----------------------------------------------------------------------
-# Kernel selection
-# ----------------------------------------------------------------------
-_active_kernel: ContextVar[str | None] = ContextVar("repro_batch_kernel", default=None)
-
-#: Lazily populated probe/compile caches (numba availability, jitted
-#: functions).  Populated at most once per process per key.
-# repro-lint: disable=RL005 -- memoized import probe and jit-compile cache
-_RUNTIME_CACHE: dict[str, Any] = {}
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def loop_kernel(func: _F) -> _F:
-    """Mark ``func`` as a per-run loop kernel (numba-compilable body).
-
-    The marker does two jobs: :func:`run_kernel` compiles marked
-    functions with ``numba.njit(cache=True)`` on first ``numba`` use, and
-    lint rule RL008 exempts their bodies from the no-Python-loop rule —
-    inside a jit kernel, plain loops *are* the vectorization strategy.
-    """
-    func.__repro_loop_kernel__ = True  # type: ignore[attr-defined]
-    return func
-
-
-def numba_available() -> bool:
-    """Whether the optional numba dependency is importable (cached probe)."""
-    cached = _RUNTIME_CACHE.get("numba_available")
-    if cached is None:
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            cached = False
-        else:
-            cached = True
-        _RUNTIME_CACHE["numba_available"] = cached
-    return bool(cached)
-
-
-def available_kernels() -> tuple[str, ...]:
-    """The kernels that would actually run on this interpreter."""
-    if numba_available():
-        return ("numpy", "numba", "python")
-    return ("numpy", "python")
-
-
-def resolve_kernel(name: str | None = None) -> str:
-    """Resolve a kernel request to the implementation that will run.
-
-    Precedence: explicit ``name`` > ambient :func:`use_kernel` selection >
-    ``REPRO_BATCH_KERNEL`` > ``"auto"``.  ``"auto"`` prefers numba and
-    falls back to numpy; an explicit ``"numba"`` on a numba-free install
-    also degrades to ``"numpy"`` (graceful fallback, mirroring how an
-    unsupported backend falls back to the reference loop).
-    """
-    if name is None:
-        name = _active_kernel.get()
-    if name is None:
-        name = os.environ.get(KERNEL_ENV_VAR) or "auto"
-    if name not in KERNEL_NAMES:
-        raise InvalidParameterError(
-            f"unknown batch kernel {name!r}; expected one of {KERNEL_NAMES}"
-        )
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    if name == "numba" and not numba_available():
-        return "numpy"
-    return name
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[None]:
-    """Select the batch kernel for the dynamic extent of the block.
-
-    Accepts any :data:`KERNEL_NAMES` entry; resolution (and the graceful
-    numba-to-numpy fallback) happens when an engine is built, so a block
-    may request ``"numba"`` unconditionally.  Blocks nest; the previous
-    selection is restored on exit.
-    """
-    if name not in KERNEL_NAMES:
-        raise InvalidParameterError(
-            f"unknown batch kernel {name!r}; expected one of {KERNEL_NAMES}"
-        )
-    token = _active_kernel.set(name)
-    try:
-        yield
-    finally:
-        _active_kernel.reset(token)
-
-
-def active_kernel_name() -> str | None:
-    """The ambient :func:`use_kernel` selection, or ``None`` (unset)."""
-    return _active_kernel.get()
-
-
-# ----------------------------------------------------------------------
 # The arrays-in/arrays-out contract
 # ----------------------------------------------------------------------
 @dataclass
 class KernelIO:
-    """Everything a kernel reads and writes — arrays in, arrays out.
+    """Everything the kernel reads and writes — arrays in, arrays out.
 
     Inputs are read-only except ``indeg`` (a scratch copy the kernel
     decrements).  ``demand``/``duration`` alias the compiled batch (no
     copy), so they reflect the compiled arrays at run time.  Outputs are
-    preallocated by :func:`make_io`; a kernel fills all of them.  The
-    counters are kernel-specific observability (excluded from digests);
-    every other output must be bit-identical across kernels.
+    preallocated by :func:`make_io`; the kernel fills all of them.  The
+    counters are observability only and stay out of digests.
     """
 
     # --- inputs ---
@@ -220,19 +72,18 @@ class KernelIO:
     reveal_t: np.ndarray
     #: ``float64 [B]``: final simulation clock per run.
     now: np.ndarray
-    #: ``int64 [B]``: free processors at drain (kernels keep this live).
+    #: ``int64 [B]``: free processors at drain (the kernel keeps this live).
     free: np.ndarray
     #: ``int64 [B]``: completed-task count per run.
     completed: np.ndarray
-    # --- kernel-specific counters ---
+    # --- counters ---
     ev_count: np.ndarray
     scan_passes: np.ndarray
     scan_elems: np.ndarray
-    #: ``int64 [B]``: queue compaction passes (numpy tier; the serial
-    #: loop never compacts — its queue is append-only).
+    #: ``int64 [B]``: queue compaction passes.
     compactions: np.ndarray
     #: ``int64 [B]``: scan waves ruled out by the block-minimum bound
-    #: before any per-entry search (numpy tier only).
+    #: before any per-entry search.
     block_skips: np.ndarray
 
 
@@ -265,27 +116,11 @@ def make_io(compiled: CompiledBatch) -> KernelIO:
     )
 
 
-def run_kernel(name: str, io: KernelIO) -> None:
-    """Run one resolved kernel (``numpy``/``numba``/``python``) to drain."""
-    if name == "numpy":
-        _NumpyKernel(io).run()
-        return
-    if name == "numba":
-        _jitted_event_loop()(*_loop_args(io))
-        return
-    if name == "python":
-        _serial_event_loop(*_loop_args(io))
-        return
-    raise InvalidParameterError(
-        f"unresolved batch kernel {name!r}; call resolve_kernel() first"
-    )
-
-
 # ----------------------------------------------------------------------
-# The numpy tier (whole-array, batch-parallel)
+# The whole-array, batch-parallel event loop
 # ----------------------------------------------------------------------
-class _NumpyKernel:
-    """The vectorized batched event loop (structure-of-arrays tier).
+class NumpyKernel:
+    """The vectorized batched event loop (structure of arrays).
 
     Advances ``B`` independent runs simultaneously: every state component
     of the reference loop has an array counterpart with a leading batch
@@ -676,228 +511,3 @@ class _NumpyKernel:
 
             self._scan(act)
             self._refresh_hstart(act)
-
-
-# ----------------------------------------------------------------------
-# The loop tier (per-run event loop; numba-compilable, python-executable)
-# ----------------------------------------------------------------------
-def _loop_args(io: KernelIO) -> tuple[np.ndarray, ...]:
-    """The positional argument tuple :func:`_serial_event_loop` takes."""
-    return (
-        io.P,
-        io.n_tasks,
-        io.demand,
-        io.duration,
-        io.indeg,
-        io.succ_indptr,
-        io.succ,
-        io.start_t,
-        io.end_t,
-        io.start_seq,
-        io.reveal_seq,
-        io.reveal_t,
-        io.now,
-        io.free,
-        io.completed,
-        io.ev_count,
-        io.scan_passes,
-        io.scan_elems,
-        io.compactions,
-        io.block_skips,
-    )
-
-
-def _jitted_event_loop() -> Callable[..., None]:
-    """The numba-compiled loop tier (compiled once per process)."""
-    fn = _RUNTIME_CACHE.get("jitted_event_loop")
-    if fn is None:
-        import numba
-
-        fn = numba.njit(cache=True)(_serial_event_loop)
-        _RUNTIME_CACHE["jitted_event_loop"] = fn
-    return fn  # type: ignore[no-any-return]
-
-
-@loop_kernel
-def _serial_event_loop(
-    P: np.ndarray,
-    n_tasks: np.ndarray,
-    demand: np.ndarray,
-    duration: np.ndarray,
-    indeg: np.ndarray,
-    succ_indptr: np.ndarray,
-    succ: np.ndarray,
-    start_t: np.ndarray,
-    end_t: np.ndarray,
-    start_seq: np.ndarray,
-    reveal_seq: np.ndarray,
-    reveal_t: np.ndarray,
-    now_out: np.ndarray,
-    free_out: np.ndarray,
-    completed: np.ndarray,
-    ev_count: np.ndarray,
-    scan_passes: np.ndarray,
-    scan_elems: np.ndarray,
-    compactions: np.ndarray,
-    block_skips: np.ndarray,
-) -> None:
-    """Drain every run with a per-run sequential event loop.
-
-    Written in njit-able Python: plain loops, preallocated int64/float64
-    buffers, no object types.  Run uncompiled this is the ``python``
-    kernel; wrapped in ``numba.njit`` it is the ``numba`` kernel — one
-    body, so proving the body bit-identical (the test suite does, against
-    the numpy tier) covers both.
-
-    Per run: the FIFO queue is an append-only column array (each task is
-    enqueued exactly once, so capacity ``N`` suffices); a scan pass walks
-    it in order starting every not-yet-started entry whose demand fits
-    the remaining budget (first-fit, identical decisions to the numpy
-    tier's prefix+blocker scan); events advance to the exact float
-    minimum of running completion times with an exact-equality drain;
-    newly ready successors enqueue ordered by ``(max start-seq among
-    completing predecessors, column)`` — the same key the numpy tier
-    sorts with ``np.lexsort``.
-    """
-    B = demand.shape[0]
-    N = demand.shape[1]
-    for b in range(B):
-        base = b * N
-        free = P[b]
-        now = 0.0
-        sseq = 0
-        rcount = 0
-        ncomp = 0
-        ev = 0
-
-        qcol = np.empty(N, dtype=np.int64)  # queue: columns in reveal order
-        qlen = 0
-        qhead = 0
-        started = np.zeros(N, dtype=np.bool_)
-        end_time = np.full(N, np.inf, dtype=np.float64)
-        running = np.empty(N, dtype=np.int64)
-        nrun = 0
-        step_key = np.empty(N, dtype=np.int64)
-        touch_mark = np.full(N, -1, dtype=np.int64)
-        touched_buf = np.empty(N, dtype=np.int64)
-        ready_buf = np.empty(N, dtype=np.int64)
-        comp_buf = np.empty(N, dtype=np.int64)
-
-        # Initial admission: indegree-0 tasks in insertion order.
-        for col in range(n_tasks[b]):
-            if indeg[b, col] == 0:
-                qcol[qlen] = col
-                qlen += 1
-                reveal_seq[b, col] = rcount
-                rcount += 1
-                reveal_t[b, col] = now
-
-        while True:
-            # --- queue pass: in-order first-fit under a shrinking budget
-            while qhead < qlen and started[qcol[qhead]]:
-                qhead += 1
-            if qhead < qlen and free > 0:
-                scan_passes[b] += 1
-                budget = free
-                i = qhead
-                while i < qlen:
-                    col = qcol[i]
-                    if not started[col]:
-                        scan_elems[b] += 1
-                        dem = demand[b, col]
-                        if dem <= budget:
-                            budget -= dem
-                            started[col] = True
-                            start_seq[base + col] = sseq
-                            sseq += 1
-                            start_t[b, col] = now
-                            fin = now + duration[b, col]
-                            end_t[b, col] = fin
-                            end_time[col] = fin
-                            running[nrun] = col
-                            nrun += 1
-                            if budget <= 0:
-                                break
-                    i += 1
-                free = budget
-
-            if nrun == 0:
-                break
-
-            # --- next event: exact min of running completion times
-            tmin = np.inf
-            for k in range(nrun):
-                fin = end_time[running[k]]
-                if fin < tmin:
-                    tmin = fin
-            now = tmin
-            ev += 1
-            ev_count[b] += 1
-
-            # --- drain every completion at this exact instant
-            ncl = 0
-            k = 0
-            while k < nrun:
-                col = running[k]
-                if end_time[col] == tmin:
-                    comp_buf[ncl] = col
-                    ncl += 1
-                    running[k] = running[nrun - 1]
-                    nrun -= 1
-                else:
-                    k += 1
-
-            # --- completion side effects (all order-independent)
-            ntouched = 0
-            for k in range(ncl):
-                col = comp_buf[k]
-                free += demand[b, col]
-                ncomp += 1
-                skey = start_seq[base + col]
-                for e in range(succ_indptr[base + col], succ_indptr[base + col + 1]):
-                    tgt = succ[e] - base
-                    indeg[b, tgt] -= 1
-                    if touch_mark[tgt] != ev:
-                        touch_mark[tgt] = ev
-                        touched_buf[ntouched] = tgt
-                        ntouched += 1
-                        step_key[tgt] = skey
-                    elif skey > step_key[tgt]:
-                        step_key[tgt] = skey
-
-            # --- reveal newly ready successors, (step_key, column) order
-            nready = 0
-            for k in range(ntouched):
-                tgt = touched_buf[k]
-                if indeg[b, tgt] == 0:
-                    ready_buf[nready] = tgt
-                    nready += 1
-            for k in range(1, nready):
-                col = ready_buf[k]
-                skey = step_key[col]
-                j = k - 1
-                while j >= 0:
-                    other = ready_buf[j]
-                    if step_key[other] > skey or (
-                        step_key[other] == skey and other > col
-                    ):
-                        ready_buf[j + 1] = other
-                        j -= 1
-                    else:
-                        break
-                ready_buf[j + 1] = col
-            for k in range(nready):
-                col = ready_buf[k]
-                qcol[qlen] = col
-                qlen += 1
-                reveal_seq[b, col] = rcount
-                rcount += 1
-                reveal_t[b, col] = now
-
-        now_out[b] = now
-        free_out[b] = free
-        completed[b] = ncomp
-        # Serial queues are append-only with no block index: these two
-        # numpy-tier counters are structurally zero here.
-        compactions[b] = 0
-        block_skips[b] = 0

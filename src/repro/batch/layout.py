@@ -28,10 +28,9 @@ Durations are computed with the *scalar* ``model.time(procs)`` — the same
 call, on the same floats, as the reference engine — so batch schedules
 can be bit-identical, not merely close.
 
-Unsupported configurations raise
-:class:`~repro.exceptions.BatchUnsupportedError` (``free``-dependent
-allocators here; fault models, priority rules, and non-static sources are
-declined by the adapter), and callers fall back to the reference engine.
+An allocator that reads the live free count raises
+:class:`~repro.exceptions.BatchUnsupportedError`: its decisions are not a
+function of ``(model, P)``, so they cannot be precomputed.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.exceptions import BatchUnsupportedError, SimulationError
 from repro.graph.taskgraph import TaskGraph
-from repro.sim.allocation import AllocationCacheInfo, Allocator
+from repro.sim.allocation import Allocator
 from repro.types import TaskId
 
 __all__ = [
@@ -112,16 +111,6 @@ class CompiledRun:
     alloc_cache_hits: int = 0
     alloc_cache_misses: int = 0
     alloc_cache_bypasses: int = 0
-    #: Trace capture (``compile_run(..., capture_trace=True)`` only):
-    #: allocator-cache status and α/β explanation per cache-key *group*
-    #: (or per column when ``trace_exact`` — the task-aware path, which
-    #: cannot share decisions across tasks).  ``None`` on untraced runs.
-    #: Trace reconstruction broadcasts group values to tasks in reveal
-    #: order (:mod:`repro.batch.trace`).
-    trace_cache: tuple[str, ...] | None = None
-    trace_alpha: tuple[float | None, ...] | None = None
-    trace_beta: tuple[float | None, ...] | None = None
-    trace_exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -214,32 +203,11 @@ def compile_structure(graph: TaskGraph) -> CompiledStructure:
     )
 
 
-def _delta_status(
-    before: AllocationCacheInfo | None, after: AllocationCacheInfo | None
-) -> str:
-    """Classify one allocator call from cache-counter deltas.
-
-    Same decision table as the reference engine's ``_cache_status``: the
-    first counter that moved across the call names the outcome.
-    """
-    if before is None or after is None:
-        return "unknown"
-    if after.hits > before.hits:
-        return "hit"
-    if after.misses > before.misses:
-        return "miss"
-    if after.bypasses > before.bypasses:
-        return "bypass"
-    return "unknown"
-
-
 def compile_run(
     structure: CompiledStructure,
     P: int,
     allocator: Allocator,
     graph: TaskGraph,
-    *,
-    capture_trace: bool = False,
 ) -> CompiledRun:
     """Specialize a compiled structure to one platform size and allocator.
 
@@ -248,13 +216,6 @@ def compile_run(
     and computes durations with the scalar ``model.time`` — once per
     cache-key group — so the resulting floats are identical to what the
     reference loop would produce task by task.
-
-    With ``capture_trace`` the vectorized ``allocate_batch`` shortcut is
-    skipped and each group's allocator call is wrapped in the same
-    cache-counter delta window the reference engine uses for traced runs,
-    recording per-group cache status plus the allocator's ``explain``
-    (α/β) detail on the :class:`CompiledRun` for post-hoc event
-    reconstruction.
     """
     if getattr(allocator, "uses_free", False):
         raise BatchUnsupportedError(
@@ -279,25 +240,8 @@ def compile_run(
     vectorized = 0
     cache_info = getattr(allocator, "cache_info", None)
     info0 = cache_info() if callable(cache_info) else None
-    cap_cache: list[str] = []
-    cap_alpha: list[float | None] = []
-    cap_beta: list[float | None] = []
-    trace_exact = False
-    explain = getattr(allocator, "explain", None) if capture_trace else None
-    if not callable(explain):
-        explain = None
 
     if use_task_alloc and n:
-        if capture_trace and info0 is not None:
-            # A caching task-aware allocator classifies calls in *reveal*
-            # order, which compilation cannot know; decline rather than
-            # risk a wrong per-task status (the engine falls back to the
-            # reference loop for this run).
-            raise BatchUnsupportedError(
-                f"cannot capture a trace for caching task-aware allocator "
-                f"{type(allocator).__name__}",
-                feature="trace-task-alloc-cache",
-            )
         # Task-aware allocators (fixed per-task allotments) may decide per
         # task id, so no cross-task sharing can be assumed: consult per task.
         for i, tid in enumerate(ids):
@@ -308,14 +252,6 @@ def compile_run(
             procs[i] = alloc.final
             initial[i] = alloc.initial
             duration[i] = task.model.time(alloc.final)
-        if capture_trace:
-            # The reference engine passes model=None to the explainer on
-            # this path, so α/β are always None and — with no cache — every
-            # status window comes back "unknown".
-            cap_cache = ["unknown"] * n
-            cap_alpha = [None] * n
-            cap_beta = [None] * n
-            trace_exact = True
     elif n:
         reps = structure.group_rep
         # Vectorized fast path: allocators exposing allocate_batch (the
@@ -323,10 +259,8 @@ def compile_run(
         # — same decisions, zero per-group Python allocator calls.  The
         # allocator returns None when it cannot prove parity (subclass
         # overrides), and the per-group scalar loop below takes over.
-        # Trace capture needs per-group cache windows, so it always takes
-        # the scalar loop.
         rep_models = [tasks[ids[int(rep)]].model for rep in reps]
-        batch_fn = None if capture_trace else getattr(allocator, "allocate_batch", None)
+        batch_fn = getattr(allocator, "allocate_batch", None)
         batched = batch_fn(rep_models, P) if callable(batch_fn) else None
         if batched is not None:
             calls += batched.scalar_calls
@@ -351,18 +285,8 @@ def compile_run(
             for g, rep in enumerate(reps):
                 tid = ids[int(rep)]
                 model = tasks[tid].model
-                before = cache_info() if capture_trace and info0 is not None else None
                 alloc = allocate_model(model, P, free=None)
                 calls += 1
-                if capture_trace:
-                    after = cache_info() if before is not None else None
-                    cap_cache.append(_delta_status(before, after))
-                    # explain() runs after the delta window, exactly like
-                    # the reference engine, so its own cache traffic never
-                    # colors a status.
-                    detail = explain(model, P) if explain is not None else None
-                    cap_alpha.append(None if detail is None else detail.alpha)
-                    cap_beta.append(None if detail is None else detail.beta)
                 _check_alloc(alloc.final, P, alloc, tid)
                 g_final[g] = alloc.final
                 g_initial[g] = alloc.initial
@@ -389,10 +313,6 @@ def compile_run(
         alloc_cache_hits=hits,
         alloc_cache_misses=misses,
         alloc_cache_bypasses=bypasses,
-        trace_cache=tuple(cap_cache) if capture_trace else None,
-        trace_alpha=tuple(cap_alpha) if capture_trace else None,
-        trace_beta=tuple(cap_beta) if capture_trace else None,
-        trace_exact=trace_exact,
     )
 
 
@@ -438,20 +358,14 @@ class BatchCompiler:
         graph: TaskGraph,
         P: int,
         allocator: Allocator,
-        *,
-        capture_trace: bool = False,
     ) -> CompiledRun:
-        return compile_run(
-            self.structure(graph), P, allocator, graph, capture_trace=capture_trace
-        )
+        return compile_run(self.structure(graph), P, allocator, graph)
 
 
 def compile_batch(
     items: Sequence[tuple[TaskGraph, int]],
     allocator: Allocator,
     compiler: BatchCompiler | None = None,
-    *,
-    capture_trace: bool = False,
 ) -> CompiledBatch:
     """Compile ``(graph, P)`` runs and stack them into one padded batch."""
     if not items:
@@ -460,17 +374,14 @@ def compile_batch(
         compiler = BatchCompiler()
     # Replicated (graph, P) pairs — parameter sweeps replaying one
     # workload — share a single CompiledRun: within one call the
-    # allocator and graph cannot change between replicas.  Not under
-    # trace capture: the reference engine re-consults the warm allocator
-    # per run, so replicas must recompile to replay the same cache-status
-    # evolution (first replica "miss", later replicas "hit").
+    # allocator and graph cannot change between replicas.
     memo: dict[tuple[int, int], CompiledRun] = {}
     runs_list = []
     for graph, P in items:
         key = (id(graph), P)
-        run = None if capture_trace else memo.get(key)
+        run = memo.get(key)
         if run is None:
-            run = compiler.run(graph, P, allocator, capture_trace=capture_trace)
+            run = compiler.run(graph, P, allocator)
             memo[key] = run
         runs_list.append(run)
     runs = tuple(runs_list)

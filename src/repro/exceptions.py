@@ -113,12 +113,10 @@ class TaskAbortedError(SimulationError):
 class BatchUnsupportedError(SimulationError):
     """The batched SoA engine cannot simulate this run configuration.
 
-    Raised by :mod:`repro.batch` when a run uses a feature outside the
-    vectorized engine's contract (fault injection, timed releases,
-    adaptive sources, ``free``-dependent allocators, priority rules, ...).
-    Callers fall back to the reference engine, which remains authoritative
-    for every configuration.  ``feature`` names the unsupported capability
-    so fallbacks can be counted per cause.
+    Raised by :func:`repro.batch.run_batch` when a run uses a feature
+    outside the vectorized engine's contract (today: an allocator that
+    reads the live free count).  The reference engine simulates every
+    configuration.  ``feature`` names the unsupported capability.
     """
 
     def __init__(self, message: str, *, feature: str | None = None) -> None:

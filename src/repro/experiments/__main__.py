@@ -56,8 +56,6 @@ def _run_campaign(args: argparse.Namespace, names: list[str]) -> int:
         jobs=args.jobs,
         cache=cache,
         refresh=args.refresh,
-        backend=args.backend,
-        kernel=args.kernel,
     )
     manifest = outcome.manifest
 
@@ -93,9 +91,6 @@ def _run_campaign(args: argparse.Namespace, names: list[str]) -> int:
         )
         print(
             f"\n{len(manifest.runs)} runs | jobs={manifest.jobs} | "
-            f"backend={manifest.backend} | "
-            + ("" if manifest.kernel is None else f"kernel={manifest.kernel} | ")
-            +
             f"wall {manifest.wall_time_s:.2f}s | "
             f"serial-equivalent {manifest.serial_equivalent_s:.2f}s | "
             f"speedup {manifest.speedup_vs_serial:.2f}x | "
@@ -118,24 +113,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--P", type=int, default=None, help="platform size override")
     parser.add_argument("--ell", type=int, default=None, help="Theorem-9 ell override")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    parser.add_argument(
-        "--backend",
-        choices=["reference", "batch"],
-        default="reference",
-        help="engine backend for the simulations (default: reference; "
-        "'batch' selects the vectorized structure-of-arrays engine, "
-        "bit-identical on its supported subset, reference fallback "
-        "elsewhere; campaign cache entries are keyed per backend)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["auto", "numpy", "numba", "python"],
-        default=None,
-        help="compute kernel for the batch engine (default: ambient / "
-        "REPRO_BATCH_KERNEL / auto; 'numba' needs the [fast] extra and "
-        "degrades gracefully to numpy when absent; all kernels are "
-        "bit-identical, so cache entries are shared across kernels)",
-    )
     parser.add_argument(
         "--profile",
         action="store_true",
@@ -305,14 +282,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             tracer = tracers[0] if len(tracers) == 1 else MultiTracer(*tracers)
             stack.enter_context(use_tracer(tracer))
-        if args.backend != "reference":
-            from repro.sim.backend import use_backend
-
-            stack.enter_context(use_backend(args.backend))
-        if args.kernel is not None:
-            from repro.batch.kernels import use_kernel
-
-            stack.enter_context(use_kernel(args.kernel))
         report = run_experiment(args.experiment, **kwargs)
     if args.out is not None:
         _write_report(args.out, args.experiment, str(report))

@@ -5,7 +5,7 @@ digests pin bit-exact schedules, campaign tests pin parallel-equals-serial
 execution, allocator-cache tests pin Algorithm 2's memoization.  This
 package enforces the *preconditions* of those invariants statically, at
 review time, as per-file AST rules (RL001–RL008, RL012) plus
-whole-program semantic rules (RL009–RL011), with per-line
+whole-program semantic rules (RL009–RL010), with per-line
 ``# repro-lint: disable=CODE`` suppressions and text/JSON reporters.
 
 Usage::

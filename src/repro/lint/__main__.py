@@ -3,7 +3,7 @@
 Exit codes: 0 clean, 1 findings or parse errors, 2 usage error.
 
 Beyond the per-file rules, ``--semantic`` runs the whole-program
-analyzers (RL009–RL011); ``--cache`` makes warm re-runs replay unchanged
+analyzers (RL009–RL010); ``--cache`` makes warm re-runs replay unchanged
 results; ``--baseline`` subtracts committed, justified findings so only
 *new* findings fail; ``--fix`` applies mechanically safe rewrites
 (``--diff`` previews them).
@@ -33,7 +33,8 @@ from repro.lint.semantic.cache import AnalysisCache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
-        description="Static analysis of repro's correctness contracts (RL001-RL011).",
+        description="Static analysis of repro's correctness contracts "
+        "(per-file RL001-RL008 and RL012, semantic RL009-RL010).",
     )
     parser.add_argument(
         "paths",
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--semantic",
         action="store_true",
-        help="also run the whole-program semantic analyzers (RL009-RL011)",
+        help="also run the whole-program semantic analyzers (RL009-RL010)",
     )
     parser.add_argument(
         "--cache",

@@ -5,7 +5,7 @@ Importing this package registers every rule; the registry in
 must never import the registry's *consumers* (engine, reporters).
 
 RL001–RL008 and RL012 are per-file rules (one AST at a time);
-RL009–RL011 are whole-program semantic rules dispatched over the
+RL009–RL010 are whole-program semantic rules dispatched over the
 :class:`~repro.lint.semantic.project.Project` model when the engine is
 asked for semantic analysis (``python -m repro.lint --semantic``).
 
@@ -18,10 +18,9 @@ asked for semantic analysis (``python -m repro.lint --semantic``).
 | RL005 | mutable-state           | process-pool safety                          |
 | RL006 | public-annotations      | typed public API (mypy strict surface)       |
 | RL007 | frozen-events           | immutable, schema-complete event vocabulary  |
-| RL008 | batch-vectorization     | whole-array batch backend (no per-task loops)|
+| RL008 | batch-vectorization     | whole-array batch engine (no per-task loops) |
 | RL009 | cache-key-soundness     | cache_key() covers every decision-path read  |
 | RL010 | await-shared-state      | no racy read-modify-write across await       |
-| RL011 | kernel-tier-parity      | interchangeable batch kernel tiers           |
 | RL012 | emit-guard              | zero-cost disabled tracing (guarded emits)   |
 """
 
@@ -36,7 +35,6 @@ from repro.lint.rules import (
     rl008_batch_vectorization,
     rl009_cache_key_soundness,
     rl010_await_races,
-    rl011_kernel_parity,
     rl012_emit_guards,
 )
 
@@ -51,6 +49,5 @@ __all__ = [
     "rl008_batch_vectorization",
     "rl009_cache_key_soundness",
     "rl010_await_races",
-    "rl011_kernel_parity",
     "rl012_emit_guards",
 ]

@@ -1,9 +1,9 @@
 """RL008: no Python-level loops over task arrays in ``repro.batch``.
 
-The batch backend's entire reason to exist is that the event loop is
+The batch engine's entire reason to exist is that the event loop is
 amortized across runs with whole-array NumPy operations; a Python
 ``for`` over a per-task array silently reintroduces the O(n)
-interpreter cost the backend was built to remove, and benchmarks only
+interpreter cost the engine was built to remove, and benchmarks only
 catch it after the fact.  This rule catches it at lint time: inside
 ``repro.batch`` modules, a ``for`` statement whose iterable mentions a
 task-array name (``task``/``succ``/``proc``/``alloc``/``indeg``/
@@ -17,13 +17,6 @@ annotated with ``# repro-lint: disable=RL008`` (or ``disable-file`` for
 boundary).  Loops over *runs* or *blocks* (batch-axis bookkeeping, a
 few dozen iterations) are not flagged: the rule keys on per-task array
 names, not on iteration itself.
-
-One structural exemption: inside :mod:`repro.batch.kernels`, functions
-decorated ``@loop_kernel`` (or ``@numba.njit``) *are* the compiled loop
-tier — there, plain per-task loops are the vectorization strategy, not
-a regression, and the whole function body is exempt.  The exemption is
-keyed on both the decorator and the module, so a decorated function
-pasted into ``repro.batch.engine`` is still flagged.
 """
 
 from __future__ import annotations
@@ -48,42 +41,6 @@ _TASK_ARRAY_STEMS = (
     "demand",
     "queue",
 )
-
-#: The one module whose decorated loop bodies are exempt: the kernel tier.
-_KERNEL_MODULE = "repro.batch.kernels"
-
-#: Decorator names marking a per-run loop kernel (jit-compilable body).
-_KERNEL_DECORATORS = frozenset({"loop_kernel", "njit", "jit"})
-
-
-def _decorator_name(dec: ast.expr) -> str | None:
-    """Trailing identifier of a decorator (``numba.njit(...)`` -> ``njit``)."""
-    target = dec.func if isinstance(dec, ast.Call) else dec
-    if isinstance(target, ast.Name):
-        return target.id
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    return None
-
-
-def _exempt_loops(ctx: FileContext) -> frozenset[ast.AST]:
-    """``For`` nodes inside ``@loop_kernel``/``@njit`` bodies of kernels.py."""
-    if ctx.module != _KERNEL_MODULE:
-        return frozenset()
-    exempt: set[ast.AST] = set()
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if not any(
-            _decorator_name(dec) in _KERNEL_DECORATORS
-            for dec in node.decorator_list
-        ):
-            continue
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.For, ast.AsyncFor)):
-                exempt.add(sub)
-    return frozenset(exempt)
-
 
 def _identifiers(expr: ast.expr) -> Iterator[str]:
     """Every plain identifier mentioned anywhere in ``expr``."""
@@ -114,18 +71,15 @@ class BatchVectorizationRule(Rule):
     name = "batch-vectorization"
     description = (
         "no Python-level for loops over task arrays in repro.batch "
-        "(the backend must stay whole-array vectorized)"
+        "(the batch engine must stay whole-array vectorized)"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
         return ctx.in_package("repro.batch")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        exempt = _exempt_loops(ctx)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.For, ast.AsyncFor)):
-                continue
-            if node in exempt:
                 continue
             if _is_range_len(node.iter):
                 yield self.finding(
@@ -133,7 +87,7 @@ class BatchVectorizationRule(Rule):
                     node.lineno,
                     node.col_offset,
                     "Python-level loop 'for ... in range(len(...))' in the "
-                    "batch backend; index with whole-array operations instead",
+                    "batch engine; index with whole-array operations instead",
                 )
                 continue
             stems = sorted(
@@ -150,7 +104,7 @@ class BatchVectorizationRule(Rule):
                     node.lineno,
                     node.col_offset,
                     "Python-level loop over task array(s) "
-                    f"({', '.join(stems)}) in the batch backend; use "
+                    f"({', '.join(stems)}) in the batch engine; use "
                     "vectorized NumPy operations, or justify with "
                     "'# repro-lint: disable=RL008'",
                 )

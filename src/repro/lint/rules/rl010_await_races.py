@@ -21,7 +21,7 @@ This rule flags, inside ``async def`` functions of :mod:`repro.service`
   write-back may clobber concurrent updates;
 * ``ContextVar.set()`` in an async function without a matching
   ``reset()`` in the same function — cross-task leakage of ambient
-  state (``use_kernel`` shows the token discipline);
+  state (``use_tracer`` shows the token discipline);
 * ``global X`` declarations in async functions — module globals are
   shared across every task by construction.
 

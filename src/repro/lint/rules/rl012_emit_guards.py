@@ -1,7 +1,7 @@
 """RL012: event emission must be guarded by an enabled-check.
 
-Tracing is opt-in everywhere in the fast paths: the engine, the batch
-backend, and the service all carry an *optional* emit callable
+Tracing is opt-in everywhere in the fast paths: the engine and the
+service both carry an *optional* emit callable
 (``emit: _Emit | None = None``, ``self.emit``) that is ``None`` when the
 run is untraced.  The disabled-tracing overhead budget (<= 2% on the
 BENCH_engine scenarios) depends on every emission site short-circuiting
@@ -21,8 +21,8 @@ The rule fires in ``repro.sim`` / ``repro.batch`` / ``repro.service`` on:
   without such a guard.
 
 A bare ``emit(...)`` bound to a **required** parameter (``emit: Emit``)
-is the blessed pattern for dedicated trace-reconstruction helpers — the
-enabled-check happened at the call boundary — and is not flagged.
+is the blessed pattern for dedicated tracing helpers — the enabled-check
+happened at the call boundary — and is not flagged.
 """
 
 from __future__ import annotations

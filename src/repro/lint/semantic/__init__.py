@@ -1,11 +1,10 @@
 """Whole-program semantic analysis on top of the per-file lint framework.
 
-The per-file rules (RL001–RL008) see one AST at a time; the contracts
-added since PR 3 are *cross-module*: the allocation cache is only sound
-if :meth:`~repro.speedup.SpeedupModel.cache_key` covers every model
-attribute the allocator decision paths read, the asyncio service must
-not mutate shared state across ``await`` points, and the three batch
-kernel tiers must stay structurally interchangeable.  This package
+The per-file rules (RL001–RL008, RL012) see one AST at a time; some
+contracts are *cross-module*: the allocation cache is only sound if
+:meth:`~repro.speedup.SpeedupModel.cache_key` covers every model
+attribute the allocator decision paths read, and the asyncio service
+must not mutate shared state across ``await`` points.  This package
 provides the machinery to check such properties:
 
 :mod:`~repro.lint.semantic.project`
@@ -32,7 +31,7 @@ provides the machinery to check such properties:
     recorded in a baseline file; anything new fails CI.
 
 The analyzers themselves live with the other rules in
-:mod:`repro.lint.rules` (``rl009``–``rl011``).
+:mod:`repro.lint.rules` (``rl009``–``rl010``).
 """
 
 from repro.lint.semantic.base import (

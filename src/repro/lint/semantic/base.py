@@ -71,7 +71,7 @@ def register_semantic(cls: S) -> S:
 
 
 def _ensure_loaded() -> None:
-    # The rules package imports the rl009..rl011 modules, running their
+    # The rules package imports the rl009..rl010 modules, running their
     # @register_semantic decorators.
     import repro.lint.rules  # noqa: F401  (import for side effect)
 

@@ -20,7 +20,7 @@ producers thread run names through).
 
 Two stream-independent helpers live here as well:
 :func:`trace_digest` (the canonical SHA-256 fingerprint of an event
-stream — how the batch-vs-reference trace equivalence is pinned) and
+stream — how the golden trace scenarios are pinned) and
 :func:`render_prometheus` (a Prometheus text-format exposition of one or
 more :class:`~repro.obs.metrics.MetricsRegistry` instances, the payload
 behind the service's ``stats`` request).
@@ -225,9 +225,9 @@ def trace_digest(events: Iterable[SimEvent]) -> str:
 
     Hashes the same serialization :class:`JsonlTraceSink` writes (one
     sorted-key JSON object per line), so a digest of collected events, of
-    a replayed JSONL file, and of a live stream all agree.  Two engines
+    a replayed JSONL file, and of a live stream all agree.  Two runs
     whose streams share a digest emitted the same events, same payloads,
-    same order — the equivalence the traced batch backend is held to.
+    same order.
     """
     h = hashlib.sha256()
     for event in events:

@@ -82,26 +82,14 @@ class ResultCache:
 
     # -- keys ------------------------------------------------------------
 
-    def key_for(
-        self, experiment: str, kwargs: Mapping[str, Any], backend: str = "reference"
-    ) -> str:
-        """Content address of one run: experiment id + kwargs + version (+ backend).
-
-        The engine backend is part of the key: backends promise identical
-        results, but a cache hit must never *assume* the promise holds — a
-        hit recorded by the wrong backend would mask exactly the
-        equivalence bugs the verification harness exists to catch.  The
-        reference backend is omitted from the payload so existing caches
-        keep their keys.
-        """
+    def key_for(self, experiment: str, kwargs: Mapping[str, Any]) -> str:
+        """Content address of one run: experiment id + kwargs + version."""
         payload: dict[str, Any] = {
             "schema": _SCHEMA,
             "experiment": experiment,
             "kwargs": dict(kwargs),
             "version": self.version,
         }
-        if backend != "reference":
-            payload["backend"] = backend
         return content_digest(payload)
 
     def _path(self, key: str) -> Path:
@@ -109,19 +97,14 @@ class ResultCache:
 
     # -- read ------------------------------------------------------------
 
-    def get(
-        self,
-        experiment: str,
-        kwargs: Mapping[str, Any],
-        backend: str = "reference",
-    ) -> CacheEntry | None:
+    def get(self, experiment: str, kwargs: Mapping[str, Any]) -> CacheEntry | None:
         """Return the cached entry for this run, or ``None`` on a miss.
 
         A present-but-unreadable entry (truncated file, bad JSON, digest
         mismatch) counts as an invalidation: it is deleted, a warning is
         emitted, and the caller recomputes.
         """
-        key = self.key_for(experiment, kwargs, backend)
+        key = self.key_for(experiment, kwargs)
         path = self._path(key)
         if not path.exists():
             self.stats.misses += 1
@@ -168,14 +151,13 @@ class ResultCache:
         report: ExperimentReport,
         compute_time_s: float,
         metrics: Mapping[str, Any] | None = None,
-        backend: str = "reference",
     ) -> str:
         """Store a computed report; returns the entry key.
 
         The write is atomic (temp file + rename) so a concurrent reader
         never observes a half-written entry.
         """
-        key = self.key_for(experiment, kwargs, backend)
+        key = self.key_for(experiment, kwargs)
         path = self._path(key)
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -184,7 +166,6 @@ class ResultCache:
             "experiment": experiment,
             "kwargs": encode_value(dict(kwargs)),
             "version": self.version,
-            "backend": backend,
             "name": report.name,
             "title": report.title,
             "text": report.text,

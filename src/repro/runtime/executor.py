@@ -28,13 +28,11 @@ import os
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, ContextManager, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.batch.kernels import resolve_kernel, use_kernel
 from repro.exceptions import (
     ExperimentFailedError,
     InvalidParameterError,
@@ -43,7 +41,6 @@ from repro.exceptions import (
 from repro.experiments.registry import REGISTRY, ExperimentReport, get_spec
 from repro.obs.metrics import MetricsRegistry, collect_metrics
 from repro.runtime.cache import ResultCache
-from repro.sim.backend import get_backend, use_backend
 from repro.runtime.manifest import RunManifest, RunRecord
 from repro.util.validation import check_positive_int
 
@@ -110,8 +107,6 @@ def _execute(
     experiment: str,
     kwargs: dict[str, Any],
     clock: Callable[[], float] = time.time,
-    backend: str = "reference",
-    kernel: str | None = None,
 ) -> dict[str, Any]:
     """Worker entry point: run one experiment, return its report as JSON.
 
@@ -129,15 +124,7 @@ def _execute(
     t0 = time.perf_counter()
     registry = MetricsRegistry()
     try:
-        # The backend selection is ambient (a ContextVar), so installing
-        # it here covers every simulation the experiment runs — including
-        # in worker processes, which re-enter through this function.  The
-        # batch-kernel pin rides the same mechanism; ``None`` leaves the
-        # ambient/environment selection untouched.
-        kernel_ctx: ContextManager[None] = (
-            use_kernel(kernel) if kernel is not None else nullcontext()
-        )
-        with use_backend(backend), kernel_ctx, collect_metrics(registry):
+        with collect_metrics(registry):
             report = spec(**kwargs)
     except Exception as exc:
         raise ExperimentFailedError(
@@ -159,8 +146,6 @@ def _child_execute(
     experiment: str,
     kwargs: dict[str, Any],
     clock: Callable[[], float],
-    backend: str = "reference",
-    kernel: str | None = None,
 ) -> None:
     """Sandboxed-process entry: run one experiment, ship the outcome back.
 
@@ -173,7 +158,7 @@ def _child_execute(
         conn.send(
             {
                 "ok": True,
-                "result": _execute(experiment, kwargs, clock, backend, kernel),
+                "result": _execute(experiment, kwargs, clock),
             }
         )
     except Exception as exc:
@@ -187,8 +172,6 @@ def _execute_isolated(
     kwargs: dict[str, Any],
     clock: Callable[[], float],
     timeout_s: float | None,
-    backend: str = "reference",
-    kernel: str | None = None,
 ) -> dict[str, Any]:
     """Run one attempt in a dedicated process with a hard wall-clock cap.
 
@@ -200,7 +183,7 @@ def _execute_isolated(
     parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
     proc = multiprocessing.Process(
         target=_child_execute,
-        args=(child_conn, experiment, dict(kwargs), clock, backend, kernel),
+        args=(child_conn, experiment, dict(kwargs), clock),
         daemon=True,
     )
     proc.start()
@@ -242,8 +225,6 @@ def _execute_with_policy(
     timeout_s: float | None,
     max_retries: int,
     backoff_s: float,
-    backend: str = "reference",
-    kernel: str | None = None,
 ) -> dict[str, Any]:
     """One run under the resilience policy: timeout, bounded retries, backoff.
 
@@ -260,10 +241,8 @@ def _execute_with_policy(
             time.sleep(backoff_s * 2 ** (attempt - 1))
         try:
             if timeout_s is not None:
-                return _execute_isolated(
-                    experiment, kwargs, clock, timeout_s, backend, kernel
-                )
-            return _execute(experiment, kwargs, clock, backend, kernel)
+                return _execute_isolated(experiment, kwargs, clock, timeout_s)
+            return _execute(experiment, kwargs, clock)
         except ExperimentFailedError as exc:
             attempts.append(str(exc))
     raise RunQuarantinedError(
@@ -336,18 +315,8 @@ class CampaignExecutor:
         max_retries: int = 0,
         retry_backoff_s: float = 0.05,
         quarantine: bool = False,
-        backend: str = "reference",
-        kernel: str | None = None,
     ) -> None:
         check_positive_int(jobs, "jobs")
-        # Resolve eagerly: an unknown backend or kernel name must fail the
-        # campaign at construction, not deep inside a worker process.  The
-        # kernel resolves all the way (``"auto"``/absent-numba fallback
-        # included), so the manifest records what actually ran and every
-        # worker computes under the same pinned implementation.
-        get_backend(backend)
-        if kernel is not None:
-            kernel = resolve_kernel(kernel)
         if run_timeout_s is not None and run_timeout_s <= 0:
             raise InvalidParameterError(
                 f"run_timeout_s must be > 0 or None, got {run_timeout_s}"
@@ -370,16 +339,6 @@ class CampaignExecutor:
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.quarantine = quarantine
-        #: Engine backend every run computes under; part of the cache key
-        #: (a hit recorded under another backend would defeat the
-        #: cross-backend verification, so it is a miss by construction).
-        self.backend = backend
-        #: Resolved batch kernel pinned for every run, or ``None`` for the
-        #: ambient/environment selection.  Deliberately *not* part of the
-        #: cache key: kernels are bit-identical by contract (enforced by
-        #: ``python -m repro.batch.verify``), so a hit computed under
-        #: another kernel is the same bytes.
-        self.kernel = kernel
 
     @property
     def _hardened(self) -> bool:
@@ -409,9 +368,7 @@ class CampaignExecutor:
             entry = None
             if self.cache is not None and not self.refresh:
                 t0 = time.perf_counter()
-                entry = self.cache.get(
-                    request.experiment, request.kwargs, self.backend
-                )
+                entry = self.cache.get(request.experiment, request.kwargs)
                 load_time = time.perf_counter() - t0
             if entry is None:
                 to_compute.append(request)
@@ -426,8 +383,6 @@ class CampaignExecutor:
                 worker="cache",
                 result_digest=entry.report.digest(),
                 metrics=entry.metrics,
-                backend=self.backend,
-                kernel=self.kernel,
             )
 
         raw: dict[str, dict[str, Any]] = {}
@@ -442,8 +397,6 @@ class CampaignExecutor:
                         request.experiment,
                         dict(request.kwargs),
                         self.clock,
-                        self.backend,
-                        self.kernel,
                     )
                     for request in to_compute
                 }
@@ -455,8 +408,6 @@ class CampaignExecutor:
                     request.experiment,
                     dict(request.kwargs),
                     self.clock,
-                    self.backend,
-                    self.kernel,
                 )
 
         if self.cache is None:
@@ -478,7 +429,6 @@ class CampaignExecutor:
                     report,
                     compute_time_s=result["compute_time_s"],
                     metrics=result["metrics"],
-                    backend=self.backend,
                 )
             records[request.experiment] = RunRecord(
                 experiment=request.experiment,
@@ -489,8 +439,6 @@ class CampaignExecutor:
                 worker=result["worker"],
                 result_digest=report.digest(),
                 metrics=result["metrics"],
-                backend=self.backend,
-                kernel=self.kernel,
             )
 
         manifest = RunManifest(
@@ -505,8 +453,6 @@ class CampaignExecutor:
                 else {"hits": 0, "misses": 0, "stores": 0, "invalidations": 0}
             ),
             runs=[records[request.experiment] for request in requests],
-            backend=self.backend,
-            kernel=self.kernel,
         )
         return CampaignOutcome(
             reports=reports, manifest=manifest, failures=failures
@@ -539,8 +485,6 @@ class CampaignExecutor:
                     timeout_s=self.run_timeout_s,
                     max_retries=self.max_retries,
                     backoff_s=self.retry_backoff_s,
-                    backend=self.backend,
-                    kernel=self.kernel,
                 )
             except RunQuarantinedError as exc:
                 return exc, time.perf_counter() - t0
@@ -574,8 +518,6 @@ class CampaignExecutor:
                     worker="quarantined",
                     result_digest="",
                     error="; ".join(outcome.attempts) or str(outcome),
-                    backend=self.backend,
-                    kernel=self.kernel,
                 )
             else:
                 raw[request.experiment] = outcome
@@ -588,14 +530,10 @@ def run_campaign_experiments(
     jobs: int = 1,
     cache: ResultCache | None = None,
     refresh: bool = False,
-    backend: str = "reference",
-    kernel: str | None = None,
 ) -> CampaignOutcome:
     """Convenience wrapper: build requests for ``names`` (default: the whole
     registry, sorted) and execute them."""
     names = sorted(REGISTRY) if names is None else list(names)
     requests = build_requests(names, overrides=overrides, base_seed=base_seed)
-    executor = CampaignExecutor(
-        jobs=jobs, cache=cache, refresh=refresh, backend=backend, kernel=kernel
-    )
+    executor = CampaignExecutor(jobs=jobs, cache=cache, refresh=refresh)
     return executor.run(requests)

@@ -84,14 +84,6 @@ class RunRecord:
     #: failure description, one line per exhausted attempt.  ``None`` for
     #: successful runs.
     error: str | None = None
-    #: Engine backend the run was computed under (``"reference"`` or
-    #: ``"batch"``); cache hits carry the backend their entry was keyed on.
-    backend: str = "reference"
-    #: Batch compute kernel pinned for the run (``"numpy"``/``"numba"``/
-    #: ``"python"``, already resolved), or ``None`` when the campaign left
-    #: the ambient/environment selection in charge.  Not part of the cache
-    #: key — kernels are bit-identical by contract.
-    kernel: str | None = None
 
     def as_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -102,10 +94,7 @@ class RunRecord:
             "compute_time_s": round(self.compute_time_s, 6),
             "worker": self.worker,
             "result_digest": self.result_digest,
-            "backend": self.backend,
         }
-        if self.kernel is not None:
-            payload["kernel"] = self.kernel
         if self.metrics is not None:
             payload["metrics"] = dict(self.metrics)
         if self.error is not None:
@@ -124,10 +113,6 @@ class RunManifest:
     cache_stats: Mapping[str, int]
     runs: list[RunRecord] = field(default_factory=list)
     version: str = __version__
-    #: Engine backend the campaign selected (``"reference"`` by default).
-    backend: str = "reference"
-    #: Resolved batch kernel the campaign pinned, or ``None`` (ambient).
-    kernel: str | None = None
 
     @property
     def serial_equivalent_s(self) -> float:
@@ -148,8 +133,6 @@ class RunManifest:
     def as_dict(self) -> dict[str, Any]:
         return {
             "version": self.version,
-            "backend": self.backend,
-            **({} if self.kernel is None else {"kernel": self.kernel}),
             "jobs": self.jobs,
             "n_runs": len(self.runs),
             "wall_time_s": round(self.wall_time_s, 6),

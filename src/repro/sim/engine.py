@@ -49,7 +49,7 @@ if TYPE_CHECKING:  # layering: sim only duck-types resilience at runtime
     from repro.resilience.retry import RetryPolicy
     from repro.speedup.base import SpeedupModel
 
-from repro.exceptions import BatchUnsupportedError, SimulationError, TaskAbortedError
+from repro.exceptions import SimulationError, TaskAbortedError
 from repro.obs.events import (
     AllocationDecided,
     CapacityChanged,
@@ -65,7 +65,6 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import MetricsRegistry, active_metrics, collect_metrics
 from repro.sim.allocation import Allocation, AllocationCacheInfo, Allocator
-from repro.sim.backend import active_backend
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.schedule import Schedule
@@ -481,19 +480,6 @@ class ListScheduler:
             if check_invariants is None:
                 check_invariants = True
             return self._run_resilient(source, faults, retry, check_invariants, emit)
-        backend = active_backend()
-        if backend is not None and not check_invariants:
-            # An ambiently selected backend (see repro.sim.backend) covers
-            # the plain fault-free loop, traced or not; invariant-checked
-            # runs stay on the reference path, and a backend may still
-            # decline (unsupported source/allocator/priority), in which
-            # case the reference loop runs as if nothing was selected.
-            try:
-                return backend.simulate(self, source, emit=emit)
-            except BatchUnsupportedError:
-                registry = active_metrics()
-                if registry is not None:
-                    registry.counter("backend.fallbacks").inc()
         return self._run_plain(source, bool(check_invariants), emit)
 
     # ------------------------------------------------------------------

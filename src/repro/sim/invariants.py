@@ -280,25 +280,25 @@ def validate_result(
                 )
 
     # -- capacity sweep: busy <= P_t on every segment ------------------
-    cap_times = [t for t, _ in timeline]
+    cap_times = np.asarray([t for t, _ in timeline], dtype=float)
     cap_values = [c for _, c in timeline]
     for c in cap_values:
         if not 0 <= c <= P:
             raise InvariantViolationError(
                 f"capacity {c} outside [0, P={P}]", event="replay"
             )
-    points = sorted(
-        {a.start for a in attempts}
-        | {a.end for a in attempts}
-        | set(cap_times)
-    )
+    a_start = np.asarray([a.start for a in attempts], dtype=float)
+    a_end = np.asarray([a.end for a in attempts], dtype=float)
+    a_procs = np.asarray([a.procs for a in attempts], dtype=np.int64)
+    points = sorted(set(a_start.tolist()) | set(a_end.tolist()) | set(cap_times.tolist()))
     if len(points) > 1:
         breakpoints = np.asarray(points, dtype=float)
-        usage = np.zeros(len(points) - 1, dtype=np.int64)
-        starts = np.searchsorted(breakpoints, [a.start for a in attempts])
-        ends = np.searchsorted(breakpoints, [a.end for a in attempts])
-        for a, i0, i1 in zip(attempts, starts, ends, strict=True):
-            usage[i0:i1] += a.procs
+        # Difference array: each attempt adds its processors on the
+        # segments [start, end) and the prefix sum yields the busy count.
+        delta = np.zeros(len(points), dtype=np.int64)
+        np.add.at(delta, np.searchsorted(breakpoints, a_start), a_procs)
+        np.subtract.at(delta, np.searchsorted(breakpoints, a_end), a_procs)
+        usage = np.cumsum(delta)[:-1]
         cap_idx = np.searchsorted(cap_times, breakpoints[:-1], side="right") - 1
         cap_idx = np.clip(cap_idx, 0, len(cap_values) - 1)
         capacity = np.asarray(cap_values, dtype=np.int64)[cap_idx]
@@ -315,17 +315,18 @@ def validate_result(
             )
 
     # -- allocations within live capacity at start ---------------------
-    for a in attempts:
-        idx = int(np.searchsorted(cap_times, a.start, side="right")) - 1
-        idx = max(idx, 0)
-        live = cap_values[idx]
-        if a.procs > live:
-            raise InvariantViolationError(
-                f"attempt {a.attempt} allocated {a.procs} > live capacity {live}",
-                time=a.start,
-                event="replay",
-                task_id=a.task_id,
-            )
+    live_idx = np.maximum(np.searchsorted(cap_times, a_start, side="right") - 1, 0)
+    over = a_procs > np.asarray(cap_values, dtype=np.int64)[live_idx]
+    if over.any():
+        k = int(np.argmax(over))
+        a = attempts[k]
+        live = cap_values[int(live_idx[k])]
+        raise InvariantViolationError(
+            f"attempt {a.attempt} allocated {a.procs} > live capacity {live}",
+            time=a.start,
+            event="replay",
+            task_id=a.task_id,
+        )
 
     # -- precedence / completeness against the realized graph ----------
     if graph is not None:

@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: batch results are bit-identical to reference.
+"""Batch equivalence: ``run_batch`` results are bit-identical to reference.
 
 The contract under test is exact equality of the *full* result — schedule
 entries (values and order), allocation and reveal dicts (values and
@@ -22,7 +22,6 @@ from repro.graph.generators import (
     layered_random,
 )
 from repro.sim import ListScheduler, StaticGraphSource
-from repro.sim.backend import use_backend
 from repro.speedup import AmdahlModel, CommunicationModel, GeneralModel, RooflineModel
 from repro.speedup.random import RandomModelFactory
 
@@ -39,8 +38,7 @@ def assert_identical(reference, batched):
 
 def run_both(graph, P, mu=0.324):
     reference = ListScheduler(P, LpaAllocator(mu)).run(StaticGraphSource(graph))
-    with use_backend("batch"):
-        batched = ListScheduler(P, LpaAllocator(mu)).run(StaticGraphSource(graph))
+    (batched,) = run_batch([(graph, P)], LpaAllocator(mu)).results
     return reference, batched
 
 
@@ -58,7 +56,7 @@ models = st.one_of(
         st.floats(0.0, 3.0),
         # c = 0 or c >= 1e-6: subnormal c makes sqrt(w / c) overflow
         # inside max_useful_processors, a model edge case unrelated to
-        # backend equivalence.
+        # batch equivalence.
         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
         max_parallelism=st.integers(1, 64),
     ),

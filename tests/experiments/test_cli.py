@@ -80,34 +80,6 @@ class TestCampaignCli:
         assert (tmp_path / "reports" / "figure3.txt").exists()
         assert (tmp_path / "reports" / "table2.txt").exists()
 
-    def test_backend_flag_recorded_in_manifest(self, tmp_path, capsys):
-        assert main(self.args(tmp_path, "--backend", "batch")) == 0
-        assert "backend=batch" in capsys.readouterr().out
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["backend"] == "batch"
-        assert {r["backend"] for r in manifest["runs"]} == {"batch"}
-
-    def test_backend_defaults_to_reference(self, tmp_path):
-        assert main(self.args(tmp_path)) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["backend"] == "reference"
-
-    def test_backends_do_not_share_cache_entries(self, tmp_path):
-        assert main(self.args(tmp_path)) == 0
-        # A warm reference cache must not serve the batch run: backend is
-        # part of the cache key, so the second campaign misses everywhere.
-        assert main(self.args(tmp_path, "--backend", "batch")) == 0
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["cache_hit_rate"] == 0.0
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(self.args(tmp_path, "--backend", "vectorized"))
-
-    def test_single_experiment_accepts_backend(self, capsys):
-        assert main(["table2", "--backend", "batch"]) == 0
-        assert "Table 2" in capsys.readouterr().out
-
     def test_select_rejected_outside_campaign(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["table2", "--select", "figure3"])

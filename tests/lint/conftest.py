@@ -35,7 +35,6 @@ RULE_CODES = (
 SEMANTIC_CODES = (
     "RL009",
     "RL010",
-    "RL011",
 )
 
 

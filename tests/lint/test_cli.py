@@ -120,7 +120,7 @@ class TestSemanticFlags:
 
     def test_list_rules_includes_semantic_tier(self):
         proc = run_lint("--list-rules")
-        for code in ("RL009", "RL010", "RL011"):
+        for code in ("RL009", "RL010"):
             assert code in proc.stdout
         assert "[semantic]" in proc.stdout
 

@@ -69,7 +69,7 @@ def test_sarif_reporter_shape():
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-lint"
     rule_ids = [r["id"] for r in driver["rules"]]
-    assert "RL001" in rule_ids and "RL011" in rule_ids
+    assert "RL001" in rule_ids and "RL012" in rule_ids
     (result,) = run["results"]
     assert result["ruleId"] == "RL001"
     location = result["locations"][0]["physicalLocation"]

@@ -21,7 +21,7 @@ class TestScoping:
         assert codes(UNGUARDED, module="repro.service.pool") == ["RL012"]
 
     def test_fires_in_batch_modules(self):
-        assert codes(UNGUARDED, module="repro.batch.trace") == ["RL012"]
+        assert codes(UNGUARDED, module="repro.batch.engine") == ["RL012"]
 
     def test_fires_in_sim_modules(self):
         assert codes(UNGUARDED, module="repro.sim.engine") == ["RL012"]
@@ -38,7 +38,7 @@ class TestScoping:
 class TestBindingResolution:
     def test_required_emit_parameter_is_exempt(self):
         src = "def f(emit):\n    emit(1)\n"
-        assert codes(src, module="repro.batch.trace") == []
+        assert codes(src, module="repro.batch.engine") == []
 
     def test_optional_annotation_without_default_still_flags(self):
         src = (

@@ -1,4 +1,4 @@
-"""Per-rule positive/negative fixture tests (RL001-RL011)."""
+"""Per-rule positive/negative fixture tests (RL001-RL010, RL012)."""
 
 import pytest
 
@@ -205,36 +205,9 @@ class TestRl008Details:
         report = lint_fixture("rl008_bad.txt")
         assert len(report.findings) == 3
 
-    def test_loop_kernel_bodies_exempt_in_kernels_module(self):
-        # Decorated kernel bodies in repro.batch.kernels are the compiled
-        # loop tier: exempt.  The undecorated helper still fires.
-        report = lint_fixture("rl008_kernels.txt", module="repro.batch.kernels")
-        assert len(report.findings) == 1
-        assert report.findings[0].line > 20  # the undecorated helper's loop
-
-    def test_loop_kernel_exemption_is_module_scoped(self):
-        # The same decorated source outside kernels.py gets no exemption.
-        report = lint_fixture("rl008_kernels.txt", module="repro.batch.engine")
-        assert len(report.findings) == 2
-
-    def test_njit_decorator_also_exempts(self):
-        src = (
-            "import numba\n"
-            "\n"
-            "\n"
-            "@numba.njit(cache=True)\n"
-            "def kernel(demand: list) -> int:\n"
-            "    n = 0\n"
-            "    for d in demand:\n"
-            "        n += int(d)\n"
-            "    return n\n"
-        )
-        assert lint_source(src, module="repro.batch.kernels").findings == []
-        assert len(lint_source(src, module="repro.batch.engine").findings) == 1
-
 
 class TestSemanticFixtures:
-    """RL009-RL011 run as single-file projects over their fixtures."""
+    """RL009-RL010 run as single-file projects over their fixtures."""
 
     @pytest.mark.parametrize("code", SEMANTIC_CODES)
     def test_positive_fixture_triggers_only_its_rule(self, code):

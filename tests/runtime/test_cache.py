@@ -67,6 +67,34 @@ class TestVersioning:
         assert a != b
 
 
+class TestKeyStability:
+    """Entries written by earlier releases must keep resolving."""
+
+    #: ``key_for("demo", {"P": 16})`` at version 1.0.0.  The key formula
+    #: is an on-disk contract: changing it orphans every user's cache.
+    PINNED_KEY = "d3edbf44b704546fcdab6f0bb6c82398e348207f10d8de7e83b5067ef2fcdd85"
+
+    def test_key_is_pinned(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache", version="1.0.0")
+        assert cache.key_for("demo", {"P": 16}) == self.PINNED_KEY
+
+    def test_entry_with_legacy_backend_field_still_hits(self, tmp_path):
+        # Older releases stored ``"backend": "reference"`` in every entry;
+        # the reader must ignore the field.
+        cache = ResultCache(tmp_path / "cache", version="1.0.0")
+        key = cache.put("demo", {"P": 16}, REPORT, compute_time_s=0.1)
+        assert key == self.PINNED_KEY
+        path = tmp_path / "cache" / f"{key}.json"
+        payload = json.loads(path.read_text())
+        assert "backend" not in payload
+        payload["backend"] = "reference"
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        entry = cache.get("demo", {"P": 16})
+        assert entry is not None
+        assert entry.report == REPORT
+        assert cache.stats.invalidations == 0
+
+
 class TestCorruption:
     def put_one(self, cache):
         key = cache.put("demo", {"P": 16}, REPORT, compute_time_s=0.1)

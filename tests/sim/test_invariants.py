@@ -1,6 +1,11 @@
 """Tests for the runtime invariant checker and the post-hoc validator."""
 
+import re
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OnlineScheduler
 from repro.exceptions import InvariantViolationError
@@ -194,3 +199,69 @@ class TestValidateResult:
         # 2 procs busy while capacity is 2: legal only inside the window.
         attempts = [AttemptRecord("a", 1, 4.0, 6.0, 2, True)]
         validate_result(_result_with(attempts, [(0.0, 4), (3.0, 2), (7.0, 4)]))
+
+
+def _loop_capacity_violation(attempts, timeline, tol):
+    """Per-attempt loop form of the capacity checks (the reference).
+
+    Returns the message of the first capacity violation, or ``None``.
+    """
+    cap_times = [t for t, _ in timeline]
+    cap_values = [c for _, c in timeline]
+    points = sorted(
+        {a.start for a in attempts} | {a.end for a in attempts} | set(cap_times)
+    )
+    if len(points) > 1:
+        breakpoints = np.asarray(points, dtype=float)
+        usage = np.zeros(len(points) - 1, dtype=np.int64)
+        for a in attempts:
+            i0 = np.searchsorted(breakpoints, a.start)
+            i1 = np.searchsorted(breakpoints, a.end)
+            usage[i0:i1] += a.procs
+        cap_idx = np.searchsorted(cap_times, breakpoints[:-1], side="right") - 1
+        cap_idx = np.clip(cap_idx, 0, len(cap_values) - 1)
+        capacity = np.asarray(cap_values, dtype=np.int64)[cap_idx]
+        bad = (usage > capacity) & (np.diff(breakpoints) > tol)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            return (
+                f"{int(usage[idx])} processors busy in "
+                f"[{breakpoints[idx]:.6g}, {breakpoints[idx + 1]:.6g}) with live "
+                f"capacity {int(capacity[idx])}"
+            )
+    for a in attempts:
+        idx = max(int(np.searchsorted(cap_times, a.start, side="right")) - 1, 0)
+        if a.procs > cap_values[idx]:
+            return f"attempt {a.attempt} allocated {a.procs} > live capacity {cap_values[idx]}"
+    return None
+
+
+class TestVectorizedCapacityReplay:
+    @given(
+        spans=st.lists(
+            st.tuples(st.integers(0, 12), st.integers(1, 6), st.integers(1, 4)),
+            min_size=0,
+            max_size=12,
+        ),
+        caps=st.lists(
+            st.tuples(st.integers(1, 15), st.integers(0, 4)), max_size=5
+        ),
+        first_cap=st.integers(0, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_attempt_loop(self, spans, caps, first_cap):
+        attempts = [
+            AttemptRecord(i, 1, float(s), float(s + d), p, True)
+            for i, (s, d, p) in enumerate(spans)
+        ]
+        timeline = [(0.0, first_cap)] + sorted(
+            {float(t): c for t, c in caps}.items()
+        )
+        span = max((a.end for a in attempts), default=0.0)
+        expected = _loop_capacity_violation(attempts, timeline, 1e-9 * max(1.0, span))
+        result = _result_with(attempts, timeline)
+        if expected is None:
+            validate_result(result)
+        else:
+            with pytest.raises(InvariantViolationError, match=re.escape(expected)):
+                validate_result(result)
