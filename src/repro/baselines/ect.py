@@ -69,6 +69,31 @@ class EctScheduler:
         free = self.P
         now: Time = 0.0
 
+        # Per-run table of each ready task's (p_max, (t(1), ..., t(p_max))),
+        # built once per distinct model cache_key (once per task when the
+        # model has none): equal keys mean the same time function, so the
+        # choices below read exactly the floats ``model.time`` returns.
+        curves: dict[object, tuple[int, tuple[Time, ...]]] = {}
+        task_curve: dict[TaskId, tuple[int, tuple[Time, ...]]] = {}
+
+        def reveal(tasks: list[Task]) -> None:
+            for task in tasks:
+                model = task.model
+                key = model.cache_key()
+                curve: tuple[int, tuple[Time, ...]] | None = None
+                if key is not None:
+                    try:
+                        curve = curves.get(key)
+                    except TypeError:  # unhashable key: no sharing provable
+                        key = None
+                if curve is None:
+                    p_max = model.max_useful_processors(self.P)
+                    curve = (p_max, tuple(model.time(q) for q in range(1, p_max + 1)))
+                    if key is not None:
+                        curves[key] = curve
+                task_curve[task.id] = curve
+                ready.append(task)
+
         def availability_steps() -> list[tuple[Time, int]]:
             """Future (time, cumulative extra processors) from running tasks."""
             steps: list[tuple[Time, int]] = []
@@ -78,10 +103,11 @@ class EctScheduler:
                 steps.append((r.end, total))
             return steps
 
-        def best_choice(task: Task) -> tuple[Time, int, Time]:
+        def best_choice(
+            task: Task, steps: list[tuple[Time, int]]
+        ) -> tuple[Time, int, Time]:
             """Return (completion, q, start) minimizing completion time."""
-            p_max = task.model.max_useful_processors(self.P)
-            steps = availability_steps()
+            p_max, times = task_curve[task.id]
             best: tuple[Time, int, Time] | None = None
             for q in range(1, p_max + 1):
                 if q <= free:
@@ -95,7 +121,7 @@ class EctScheduler:
                             break
                     if start is None:  # pragma: no cover - q <= P always frees
                         continue
-                completion = start + task.model.time(q)
+                completion = start + times[q - 1]
                 key = (completion, q, start)
                 if best is None or key < best:
                     best = key
@@ -110,8 +136,11 @@ class EctScheduler:
             progress = True
             while progress:
                 progress = False
+                # The running set only changes on a start, which ends the
+                # sweep: one availability profile serves the whole sweep.
+                steps = availability_steps()
                 for task in list(ready):
-                    completion, q, start = best_choice(task)
+                    completion, q, start = best_choice(task, steps)
                     if start <= now and q <= free:
                         ready.remove(task)
                         free -= q
@@ -124,7 +153,7 @@ class EctScheduler:
                         # Availability changed: re-evaluate everyone.
                         break
 
-        ready.extend(source.initial_tasks())
+        reveal(source.initial_tasks())
         start_tasks()
 
         while events:
@@ -136,7 +165,7 @@ class EctScheduler:
             for record in finished:
                 free += record.procs
             for record in finished:
-                ready.extend(source.on_complete(record.task_id))
+                reveal(source.on_complete(record.task_id))
             start_tasks()
 
         if ready:

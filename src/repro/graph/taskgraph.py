@@ -9,14 +9,34 @@ and from :mod:`networkx` lives in :mod:`repro.graph.io`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.exceptions import CycleError, GraphError, UnknownTaskError
 from repro.graph.task import Task
 from repro.speedup.base import SpeedupModel
 from repro.types import TaskId
 
-__all__ = ["TaskGraph"]
+__all__ = ["TaskGraph", "CompiledGraph"]
+
+
+class CompiledGraph(NamedTuple):
+    """Read-only snapshot of one :class:`TaskGraph` version (see :meth:`TaskGraph.compiled`).
+
+    Built once per graph version and shared by every run over that
+    version, so consumers must copy before mutating (simulation sources
+    copy only ``in_degree``).
+    """
+
+    #: The graph's mutation count when the snapshot was built.
+    version: int
+    #: Every id to its :class:`Task`, in insertion order.
+    tasks: dict[TaskId, Task]
+    #: Tasks with no predecessor, in insertion order.
+    roots: tuple[Task, ...]
+    #: Every id to its direct successors, sorted by insertion index.
+    successors: dict[TaskId, tuple[TaskId, ...]]
+    #: Every id to its number of direct predecessors, in insertion order.
+    in_degree: dict[TaskId, int]
 
 
 class TaskGraph:
@@ -43,6 +63,9 @@ class TaskGraph:
         self._succ: dict[TaskId, list[TaskId]] = {}
         self._pred: dict[TaskId, list[TaskId]] = {}
         self._num_edges = 0
+        # Bumped by every mutation; `compiled()` rebuilds on a mismatch.
+        self._version = 0
+        self._compiled: CompiledGraph | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -59,6 +82,7 @@ class TaskGraph:
         self._tasks[task_id] = task
         self._succ[task_id] = []
         self._pred[task_id] = []
+        self._version += 1
         return task
 
     def add_edge(self, src: TaskId, dst: TaskId) -> None:
@@ -78,6 +102,7 @@ class TaskGraph:
         self._succ[src].append(dst)
         self._pred[dst].append(src)
         self._num_edges += 1
+        self._version += 1
 
     def add_edges(self, edges: Iterable[tuple[TaskId, TaskId]]) -> None:
         """Add several precedence constraints."""
@@ -134,6 +159,28 @@ class TaskGraph:
     def task_map(self) -> dict[TaskId, Task]:
         """Snapshot mapping every id to its :class:`Task`, in insertion order."""
         return dict(self._tasks)
+
+    def compiled(self) -> CompiledGraph:
+        """The adjacency snapshot of the current graph version, built once.
+
+        Repeated simulations of one graph share the snapshot instead of
+        re-copying the adjacency per run; any :meth:`add_task` or
+        :meth:`add_edge` makes the next call build a fresh one.
+        Successor tuples are pre-sorted by insertion index, the reveal
+        order of tasks that one completion makes available together.
+        """
+        compiled = self._compiled
+        if compiled is not None and compiled.version == self._version:
+            return compiled
+        order = {t: i for i, t in enumerate(self._tasks)}
+        compiled = self._compiled = CompiledGraph(
+            self._version,
+            dict(self._tasks),
+            tuple(task for t, task in self._tasks.items() if not self._pred[t]),
+            {t: tuple(sorted(s, key=order.__getitem__)) for t, s in self._succ.items()},
+            {t: len(p) for t, p in self._pred.items()},
+        )
+        return compiled
 
     def predecessors(self, task_id: TaskId) -> list[TaskId]:
         """Return direct predecessors of ``task_id`` in insertion order."""

@@ -45,6 +45,12 @@ class ServiceClient:
         self.writer = writer
         self.notifications: list[dict[str, Any]] = []
         self.closed = False
+        #: Loop time by which the current read must finish (None: no
+        #: timed read in progress).
+        self.read_deadline: float | None = None
+        self.read_timer: asyncio.TimerHandle | None = None
+        #: Loop time at which ``read_timer`` fires.
+        self.read_timer_at = 0.0
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
@@ -56,6 +62,7 @@ class ServiceClient:
     async def close(self) -> None:
         if not self.closed:
             self.closed = True
+            self._cancel_read_timer()
             self.writer.close()
             try:
                 await self.writer.wait_closed()
@@ -65,9 +72,15 @@ class ServiceClient:
     async def disconnect_abruptly(self) -> None:
         """Drop the connection with no ``bye`` (chaos: vanished client)."""
         self.closed = True
+        self._cancel_read_timer()
         transport = self.writer.transport
         if transport is not None:
             transport.abort()
+
+    def _cancel_read_timer(self) -> None:
+        if self.read_timer is not None:
+            self.read_timer.cancel()
+            self.read_timer = None
 
     # ------------------------------------------------------------------
     # Wire primitives
@@ -78,13 +91,49 @@ class ServiceClient:
         await self.writer.drain()
 
     async def _read_payload(self, timeout: float | None = 30.0) -> dict[str, Any]:
+        """The next line's payload; raises ``TimeoutError`` after ``timeout`` s.
+
+        A timed read arms no timer of its own: one lazily re-armed timer
+        (as on the server side) checks the current read's deadline when it
+        fires.  A timeout fails the reader, so every later read on this
+        connection raises it too; callers close the client.
+        """
         if timeout is None:
             line = await self.reader.readline()
         else:
-            line = await asyncio.wait_for(self.reader.readline(), timeout)
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + timeout
+            self.read_deadline = deadline
+            if self.read_timer is None or deadline < self.read_timer_at:
+                if self.read_timer is not None:
+                    self.read_timer.cancel()
+                self.read_timer_at = deadline
+                self.read_timer = loop.call_at(deadline, self._read_check)
+            try:
+                line = await self.reader.readline()
+            finally:
+                self.read_deadline = None
         if not line:
             raise SessionClosed("server closed the connection")
         return decode_line(line)
+
+    def _read_check(self) -> None:
+        """Timer callback: fail the current read if its deadline has passed.
+
+        The timer is not cancelled when a line arrives; it fires, finds no
+        read in progress or a later deadline, and re-arms itself for that
+        deadline (or not at all).
+        """
+        self.read_timer = None
+        deadline = self.read_deadline
+        if deadline is None:
+            return
+        loop = asyncio.get_running_loop()
+        if deadline > loop.time():
+            self.read_timer_at = deadline
+            self.read_timer = loop.call_at(deadline, self._read_check)
+        else:
+            self.reader.set_exception(asyncio.TimeoutError())
 
     async def request(
         self, req: Request, *, timeout: float | None = 30.0

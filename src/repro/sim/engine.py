@@ -15,14 +15,19 @@ At time 0 and at every task completion the engine
    processors (list scheduling, lines 7-11 of Algorithm 1).
 
 The fault-free loop implements this with a *provably transparent* fast
-path (see ``docs/performance.md``): allocations are memoized per
-parameterization (:meth:`~repro.sim.allocation.Allocator.allocate_cached`),
-queue passes that cannot start anything are skipped via a lower bound on
-the minimum waiting demand, and priority queues are maintained by sorted
+path (see ``docs/performance.md``): each distinct model ``cache_key`` is
+resolved once per run into an (allocation, duration) pair, the first
+time through the allocator's memoizing entry point
+(:meth:`~repro.sim.allocation.Allocator.allocate_cached`) and afterwards
+from a run-local reveal table; graph adjacency comes from a snapshot
+compiled once per graph version (:meth:`~repro.graph.taskgraph.TaskGraph.compiled`); queue
+passes that cannot start anything are skipped via a lower bound on the
+minimum waiting demand; and priority queues are maintained by sorted
 insertion instead of per-admit re-sorts.  Schedules are bit-identical to
 the naive full-rescan loop; :class:`EngineStats` (attached to every
 :class:`SimulationResult`, aggregated by :func:`profile_engine`) counts
-events, scans, scan steps, and allocator cache traffic to prove it cheaply.
+events, scans, scan steps, and allocator cache traffic (a reveal-table
+hit counts as the cache hit it replaces) to prove it cheaply.
 
 Beyond the paper's fault-free platform, :meth:`ListScheduler.run` also
 supports *processor faults* (``faults=``): a fault model
@@ -497,13 +502,14 @@ class ListScheduler:
         schedule = Schedule(self.P)
         allocations: dict[TaskId, Allocation] = {}
         revealed_at: dict[TaskId, Time] = {}
-        # Queue entries are bare ``(sort_key, task, allocation)`` tuples
-        # rather than :class:`_Waiting` records: the fault-free path never
-        # retries or re-allocates, and tuple construction is an order of
-        # magnitude cheaper than a frozen dataclass on this per-task path.
-        # ``sort_key`` is ``None`` under FIFO and ``(priority, seq)`` under
-        # a priority rule.
-        queue: list[tuple[object, Task, Allocation]] = []
+        # Queue entries are bare ``(sort_key, task, allocation, procs,
+        # duration)`` tuples rather than :class:`_Waiting` records: the
+        # fault-free path never retries or re-allocates, and tuple
+        # construction is an order of magnitude cheaper than a frozen
+        # dataclass on this per-task path.  ``sort_key`` is ``None`` under
+        # FIFO and ``(priority, seq)`` under a priority rule; ``procs`` is
+        # ``allocation.final`` and ``duration`` the task's time on it.
+        queue: list[tuple[object, Task, Allocation, int, Time]] = []
         # Completion events: (time, tiebreak seq, task id, procs to release).
         events: list[tuple[Time, int, TaskId, int]] = []
         seq = itertools.count()
@@ -523,12 +529,25 @@ class ListScheduler:
         # Task-aware allocators (e.g. fixed per-task allotments) expose
         # `allocate_task`; plain allocators only see the speedup model
         # (routed through the memoizing entry point when available).
-        allocate_task = getattr(self.allocator, "allocate_task", None)
-        allocate_model = getattr(self.allocator, "allocate_cached", None)
-        if not callable(allocate_model):
-            allocate_model = self.allocator.allocate
+        allocator = self.allocator
+        allocate_task = getattr(allocator, "allocate_task", None)
+        allocate_model = getattr(allocator, "allocate_cached", None)
         use_task_alloc = callable(allocate_task)
-        cache_info = getattr(self.allocator, "cache_info", None)
+        # Reveal table: one resolved (allocation, procs, duration) per
+        # distinct model cache_key, filled on a key's first reveal through
+        # the allocator's LRU and read by every later task with an equal
+        # key.  Equal keys mean the same time function (the cache_key
+        # contract), so the table is transparent.  It is off exactly where
+        # the LRU would be bypassed for every task.
+        table: dict[object, tuple[Allocation, int, Time]] = {}
+        use_table = callable(allocate_model) and not (
+            use_task_alloc
+            or getattr(allocator, "uses_free", False)
+            or getattr(allocator, "cache_maxsize", 0) <= 0
+        )
+        if not callable(allocate_model):
+            allocate_model = allocator.allocate
+        cache_info = getattr(allocator, "cache_info", None)
         cache_info0 = cache_info() if callable(cache_info) else None
         schedule_add = schedule.add
         heappush = heapq.heappush
@@ -540,36 +559,59 @@ class ListScheduler:
                 if tid in allocations:
                     raise SimulationError(f"task {tid!r} revealed twice")
                 stats.allocator_calls += 1
-                # Tracing reads the cache counters around the call to
-                # classify it (hit/miss/bypass); pure observation, the
-                # allocation itself is untouched.
-                info_before = cache_info() if emit is not None and cache_info0 is not None else None
-                if use_task_alloc:
-                    alloc = allocate_task(task, P, free=free)
+                resolved = None
+                key = None
+                if use_table:
+                    key = task.model.cache_key()
+                    if key is not None:
+                        try:
+                            resolved = table.get(key)
+                        except TypeError:  # unhashable key: the LRU bypasses too
+                            key = None
+                if resolved is not None:
+                    # A table hit is the LRU hit it replaces: cache_info()
+                    # and EngineStats count it as one.
+                    allocator._cache_hits += 1
+                    alloc, final, duration = resolved
+                    cache = "hit"
                 else:
-                    alloc = allocate_model(task.model, P, free=free)
-                final = alloc.final
-                if not 1 <= final <= P:
-                    raise SimulationError(
-                        f"allocator returned infeasible allocation {alloc} "
-                        f"for task {tid!r} on P={P}"
+                    # Tracing reads the cache counters around the call to
+                    # classify it (hit/miss/bypass); pure observation, the
+                    # allocation itself is untouched.
+                    info_before = (
+                        cache_info() if emit is not None and cache_info0 is not None else None
                     )
+                    if use_task_alloc:
+                        alloc = allocate_task(task, P, free=free)
+                    else:
+                        alloc = allocate_model(task.model, P, free=free)
+                    final = alloc.final
+                    if not 1 <= final <= P:
+                        raise SimulationError(
+                            f"allocator returned infeasible allocation {alloc} "
+                            f"for task {tid!r} on P={P}"
+                        )
+                    duration = task.model.time(final)
+                    if key is not None:
+                        table[key] = (alloc, final, duration)
+                    if emit is not None:
+                        info_after = cache_info() if info_before is not None else None
+                        cache = _cache_status(info_before, info_after)
                 allocations[tid] = alloc
                 revealed_at[tid] = now
                 if checker is not None:
                     checker.on_reveal(now, tid)
                 if emit is not None:
                     emit(TaskRevealed(now, tid))
-                    info_after = cache_info() if info_before is not None else None
                     emit(
                         _allocation_event(
-                            self.allocator,
+                            allocator,
                             None if use_task_alloc else task.model,
                             alloc,
                             P,
                             now,
                             tid,
-                            _cache_status(info_before, info_after),
+                            cache,
                         )
                     )
                 if final < min_demand:
@@ -579,7 +621,7 @@ class ListScheduler:
                     # enter the event heap, and the heap's tie-break only
                     # needs event seqs to be strictly increasing (which
                     # they remain), so the schedule is unchanged.
-                    queue.append((None, task, alloc))
+                    queue.append((None, task, alloc, final, duration))
                 else:
                     # Sorted insertion replaces the former per-admit full
                     # sort: allocations and priorities are immutable here,
@@ -588,7 +630,7 @@ class ListScheduler:
                     s = next(seq)
                     insort(
                         queue,
-                        ((priority(task, alloc), s), task, alloc),
+                        ((priority(task, alloc), s), task, alloc, final, duration),
                         key=_entry_key,
                     )
 
@@ -600,30 +642,24 @@ class ListScheduler:
                 stats.scans_skipped += 1
                 return
             stats.queue_scans += 1
-            remaining: list[tuple[object, Task, Allocation]] = []
+            remaining: list[tuple[object, Task, Allocation, int, Time]] = []
             keep = remaining.append
             n = len(queue)
             scanned = n
             new_min: float | None = math.inf
             for idx in range(n):
                 entry = queue[idx]
-                alloc = entry[2]
-                procs = alloc.final
+                procs = entry[3]
                 if procs <= free:
-                    task = entry[1]
-                    # Start-time guard: the platform never shrinks here, but
-                    # an allocator bug (or a mutated allocation) must fail
-                    # loudly rather than silently over-pack the platform.
-                    if procs > P:
-                        raise SimulationError(
-                            f"task {task.id!r}: allocation {procs} exceeds "
-                            f"capacity P={P} at start time t={now:.6g}"
-                        )
+                    # ``procs`` passed admit's 1 <= procs <= P check, and the
+                    # platform never shrinks here, so it cannot over-pack.
+                    _, task, alloc, _, duration = entry
                     free -= procs
                     stats.tasks_started += 1
-                    end = now + task.model.time(procs)
+                    end = now + duration
+                    tid = task.id
                     schedule_add(
-                        task.id,
+                        tid,
                         now,
                         end,
                         procs,
@@ -631,10 +667,10 @@ class ListScheduler:
                         tag=task.tag,
                     )
                     if checker is not None:
-                        checker.on_start(now, task.id, procs)
+                        checker.on_start(now, tid, procs)
                     if emit is not None:
-                        emit(TaskStarted(now, task.id, procs, end))
-                    heappush(events, (end, next(seq), task.id, procs))
+                        emit(TaskStarted(now, tid, procs, end))
+                    heappush(events, (end, next(seq), tid, procs))
                 else:
                     keep(entry)
                     if procs < new_min:

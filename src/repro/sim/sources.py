@@ -28,6 +28,9 @@ if TYPE_CHECKING:
 
 __all__ = ["GraphSource", "StaticGraphSource", "ReleasedTaskSource"]
 
+#: ``StaticGraphSource`` marks completed tasks with this unmet-predecessor count.
+_COMPLETED = -1
+
 
 @runtime_checkable
 class GraphSource(Protocol):
@@ -60,48 +63,49 @@ class StaticGraphSource:
     Tasks become available when their last predecessor completes; ties are
     broken by graph insertion order, which generators use to control the
     reveal order of simultaneously available tasks.
+
+    The adjacency comes from
+    :meth:`~repro.graph.taskgraph.TaskGraph.compiled`, one snapshot per
+    graph version shared by every source over that version (successors
+    already sorted in reveal order), so a run copies only the in-degree
+    map.  Each source keeps its own reveal and completion state in that
+    copy: a task's count of unmet predecessors drops to 0 on reveal and is
+    set to -1 on completion.
     """
 
     def __init__(self, graph: TaskGraph) -> None:
         self._graph = graph
-        # Bulk snapshots: `on_complete` sits on the engine's per-completion
-        # hot path, and the per-node accessors (`successors`, `task`, ...)
-        # validate and copy on every call.
-        self._indegree: dict[TaskId, int] = graph.in_degree_map()
-        self._order: dict[TaskId, int] = {t: i for i, t in enumerate(self._indegree)}
-        self._succ: dict[TaskId, tuple[TaskId, ...]] = graph.successor_map()
-        self._tasks: dict[TaskId, Task] = graph.task_map()
-        self._completed: set[TaskId] = set()
-        self._revealed: set[TaskId] = set()
+        compiled = graph.compiled()
+        self._tasks = compiled.tasks
+        self._roots = compiled.roots
+        self._succ = compiled.successors
+        self._pending: dict[TaskId, int] = dict(compiled.in_degree)
+        self._started = False
+        self._done = 0
 
     def initial_tasks(self) -> list[Task]:
-        indegree = self._indegree
-        ready = [task for t, task in self._tasks.items() if indegree[t] == 0]
-        self._revealed.update(t.id for t in ready)
-        return ready
+        self._started = True
+        return list(self._roots)
 
     def on_complete(self, task_id: TaskId) -> list[Task]:
-        if task_id not in self._revealed:
+        pending = self._pending
+        left = pending.get(task_id)
+        if left != 0 or not self._started:
+            if left == _COMPLETED:
+                raise SimulationError(f"task {task_id!r} completed twice")
             raise SimulationError(f"completion of unrevealed task {task_id!r}")
-        if task_id in self._completed:
-            raise SimulationError(f"task {task_id!r} completed twice")
-        self._completed.add(task_id)
-        newly_ready: list[TaskId] = []
-        indegree = self._indegree
+        pending[task_id] = _COMPLETED
+        self._done += 1
+        newly_ready: list[Task] = []
         for succ in self._succ[task_id]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                newly_ready.append(succ)
-        if not newly_ready:
-            return []
-        # Insertion-order tie-break for simultaneous reveals.
-        newly_ready.sort(key=self._order.__getitem__)
-        self._revealed.update(newly_ready)
-        tasks = self._tasks
-        return [tasks[t] for t in newly_ready]
+            left = pending[succ] - 1
+            pending[succ] = left
+            if not left:
+                newly_ready.append(self._tasks[succ])
+        return newly_ready
 
     def is_exhausted(self) -> bool:
-        return len(self._completed) == len(self._graph)
+        return self._done == len(self._tasks)
 
     def realized_graph(self) -> TaskGraph:
         return self._graph

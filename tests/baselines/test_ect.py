@@ -6,7 +6,7 @@ from repro.baselines import EctScheduler, make_baseline
 from repro.bounds import makespan_lower_bound
 from repro.graph import TaskGraph
 from repro.graph.generators import chain, fork_join, independent_tasks
-from repro.speedup import AmdahlModel, RandomModelFactory, RooflineModel
+from repro.speedup import AmdahlModel, CallableModel, RandomModelFactory, RooflineModel
 
 
 def amdahl():
@@ -108,3 +108,22 @@ class TestComparisons:
         g = fork_join(6, factory, stages=3)
         result = EctScheduler(16).run(g)
         result.schedule.validate(g)
+
+    def test_shared_keys_and_keyless_models_schedule_alike(self):
+        """The per-run time table is transparent: keyed models share one
+        curve per cache_key, keyless wrappers of the same functions get
+        one per task, and both schedules agree bit for bit."""
+        pool = [AmdahlModel(8.0, 1.0), AmdahlModel(30.0, 0.5), RooflineModel(12.0, 5)]
+        picks = [0, 1, 0, 2, 1, 0, 2, 2, 0, 1]
+
+        def build(wrap):
+            g = TaskGraph()
+            for i, k in enumerate(picks):
+                g.add_task(i, wrap(pool[k]))
+                if i >= 3:
+                    g.add_edge(i - 3, i)
+            return g
+
+        keyed = EctScheduler(8).run(build(lambda m: m))
+        keyless = EctScheduler(8).run(build(lambda m: CallableModel(m.time, monotonic=True)))
+        assert keyed.schedule.entries == keyless.schedule.entries

@@ -8,19 +8,30 @@ resilient runs, ``profile_engine`` aggregation).
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.baselines.online import MaxUsefulAllocator
+from repro.baselines.cpa import AllotmentAllocator
+from repro.baselines.online import AvailableProcessorsAllocator, MaxUsefulAllocator
 from repro.core.allocator import LpaAllocator
 from repro.core.constants import MU_STAR
 from repro.core.scheduler import OnlineScheduler
-from repro.graph.generators import chain, independent_tasks
+from repro.graph.generators import chain, independent_tasks, layered_random
 from repro.graph.taskgraph import TaskGraph
+from repro.obs.events import AllocationDecided, CollectingTracer
 from repro.resilience.faults import FaultTrace
 from repro.resilience.retry import RetryPolicy
 from repro.sim.engine import EngineStats, ListScheduler, profile_engine
 from repro.sim.sources import ReleasedTaskSource
-from repro.speedup import CommunicationModel, RooflineModel
+from repro.speedup import (
+    AmdahlModel,
+    CallableModel,
+    CommunicationModel,
+    GeneralModel,
+    RooflineModel,
+)
 
 
 def comm():
@@ -147,3 +158,136 @@ class TestProfileEngine:
             assert inner.tasks_started == 4
             scheduler.run(graph)
         assert outer.tasks_started == 4  # only the run outside `inner`
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Every ``cache_key()`` call on an Equation (1) model, in order."""
+    calls = []
+    original = GeneralModel.cache_key
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(GeneralModel, "cache_key", spy)
+    return calls
+
+
+def cache_delta(allocator, run):
+    """Run ``run()`` and return (result, allocator cache-counter deltas)."""
+    before = allocator.cache_info()
+    result = run()
+    after = allocator.cache_info()
+    return result, (
+        after.hits - before.hits,
+        after.misses - before.misses,
+        after.bypasses - before.bypasses,
+    )
+
+
+def stat_counts(stats):
+    return stats.alloc_cache_hits, stats.alloc_cache_misses, stats.alloc_cache_bypasses
+
+
+class TestRevealTable:
+    """One allocation and duration per distinct cache_key per run."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pool_size=st.integers(1, 4),
+        P=st.sampled_from([1, 3, 16, 64, 1000]),
+        family=st.sampled_from(["roofline", "communication", "amdahl", "general"]),
+        fifo=st.booleans(),
+    )
+    def test_schedules_match_an_uncached_run(self, seed, pool_size, P, family, fifo):
+        rng = np.random.default_rng(seed)
+        pool = [
+            GeneralModel(
+                float(rng.uniform(1.0, 100.0)),
+                float(rng.uniform(0.0, 2.0)) if family in ("amdahl", "general") else 0.0,
+                float(rng.uniform(0.0, 0.5)) if family in ("communication", "general") else 0.0,
+                int(rng.integers(1, 64)) if family in ("roofline", "general") else None,
+            )
+            for _ in range(pool_size)
+        ]
+        graph = layered_random(
+            4, 6, lambda: pool[int(rng.integers(pool_size))],
+            edge_probability=0.3, seed=np.random.default_rng(seed + 1),
+        )
+        priority = None if fifo else (lambda task, alloc: -alloc.final)
+        cached = ListScheduler(P, LpaAllocator(MU_STAR[family]), priority=priority)
+        uncached_alloc = LpaAllocator(MU_STAR[family])
+        uncached_alloc.configure_cache(0)
+        uncached = ListScheduler(P, uncached_alloc, priority=priority)
+
+        result, delta = cache_delta(cached.allocator, lambda: cached.run(graph))
+        reference = uncached.run(graph)
+        assert result.schedule.entries == reference.schedule.entries
+        assert result.allocations == reference.allocations
+        assert delta == stat_counts(result.stats)
+        assert sum(delta) == len(graph)
+        assert delta[1] == len({t.model.cache_key() for t in graph.tasks()})
+        assert reference.stats.alloc_cache_bypasses == len(graph)
+
+    def test_traced_run_reports_table_hits(self):
+        graph = independent_tasks(12, comm)
+        scheduler = OnlineScheduler.for_family("communication", 16)
+        tracer = CollectingTracer()
+        result = scheduler.run(graph, tracer=tracer)
+        caches = [e.cache for e in tracer.of_type(AllocationDecided)]
+        assert caches[0] == "miss" and caches[1:] == ["hit"] * 11
+        assert stat_counts(result.stats) == (11, 1, 0)
+        assert result.schedule.entries == scheduler.run(graph).schedule.entries
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (RooflineModel(w=100.0, max_parallelism=8), GeneralModel(100.0, 0.0, 0.0, 8)),
+            (GeneralModel(100.0, 0.0, 0.0, 8), RooflineModel(w=100.0, max_parallelism=8)),
+            (CommunicationModel(w=50.0, c=0.5), GeneralModel(50.0, 0.0, 0.5)),
+            (GeneralModel(50.0, 0.0, 0.5), CommunicationModel(w=50.0, c=0.5)),
+        ],
+    )
+    def test_equal_keys_share_bit_identical_durations(self, first, second):
+        assert first.cache_key() == second.cache_key()
+        graph = TaskGraph()
+        graph.add_task("first", first)
+        graph.add_task("second", second)
+        result = OnlineScheduler.for_family("general", 64).run(graph)
+        assert stat_counts(result.stats) == (1, 1, 0)
+        for task_id, model in (("first", first), ("second", second)):
+            entry = result.schedule[task_id]
+            assert entry.start == 0.0
+            assert entry.end == model.time(entry.procs)
+
+    @pytest.mark.parametrize(
+        "make_allocator",
+        [
+            AvailableProcessorsAllocator,
+            lambda: AllotmentAllocator({i: 2 for i in range(6)}),
+        ],
+        ids=["uses_free", "allocate_task"],
+    )
+    def test_task_and_free_aware_allocators_bypass_the_table(self, make_allocator, key_calls):
+        graph = independent_tasks(6, lambda: AmdahlModel(8.0, 1.0))
+        allocator = make_allocator()
+        result, delta = cache_delta(allocator, lambda: ListScheduler(8, allocator).run(graph))
+        assert key_calls == []
+        assert delta == stat_counts(result.stats)
+        assert result.stats.alloc_cache_hits == 0
+
+    def test_disabled_cache_bypasses_the_table(self, key_calls):
+        graph = independent_tasks(6, lambda: AmdahlModel(8.0, 1.0))
+        allocator = LpaAllocator(MU_STAR["amdahl"])
+        allocator.configure_cache(0)
+        result = ListScheduler(8, allocator).run(graph)
+        assert key_calls == []
+        assert stat_counts(result.stats) == (0, 0, 6)
+
+    def test_keyless_models_bypass(self):
+        graph = independent_tasks(5, lambda: CallableModel(lambda p: 10.0 / p + 1.0))
+        allocator = LpaAllocator(MU_STAR["general"])
+        result, delta = cache_delta(allocator, lambda: ListScheduler(8, allocator).run(graph))
+        assert delta == stat_counts(result.stats) == (0, 0, 5)
