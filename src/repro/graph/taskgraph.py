@@ -20,23 +20,31 @@ __all__ = ["TaskGraph", "CompiledGraph"]
 
 
 class CompiledGraph(NamedTuple):
-    """Read-only snapshot of one :class:`TaskGraph` version (see :meth:`TaskGraph.compiled`).
+    """Read-only slot arrays of one :class:`TaskGraph` version (see :meth:`TaskGraph.compiled`).
 
-    Built once per graph version and shared by every run over that
-    version, so consumers must copy before mutating (simulation sources
-    copy only ``in_degree``).
+    A task's *slot* is its insertion index.  Built once per graph version
+    and shared by every run over that version, so consumers must not
+    mutate ``index`` (simulation sources copy ``in_degree`` into a list
+    for their per-run state).
     """
 
     #: The graph's mutation count when the snapshot was built.
     version: int
-    #: Every id to its :class:`Task`, in insertion order.
-    tasks: dict[TaskId, Task]
-    #: Tasks with no predecessor, in insertion order.
-    roots: tuple[Task, ...]
-    #: Every id to its direct successors, sorted by insertion index.
-    successors: dict[TaskId, tuple[TaskId, ...]]
-    #: Every id to its number of direct predecessors, in insertion order.
-    in_degree: dict[TaskId, int]
+    #: Slot -> :class:`Task`, in insertion order.
+    tasks: tuple[Task, ...]
+    #: Task id -> slot.
+    index: dict[TaskId, int]
+    #: Slots of the tasks with no predecessor, ascending.
+    roots: tuple[int, ...]
+    #: Slot -> slots of its direct successors, ascending.
+    successors: tuple[tuple[int, ...], ...]
+    #: Slot -> number of direct predecessors.
+    in_degree: tuple[int, ...]
+    #: Slot -> model group: tasks share a group iff they share one model
+    #: *object*, numbered by first appearance.
+    groups: tuple[int, ...]
+    #: Number of distinct model groups.
+    group_count: int
 
 
 class TaskGraph:
@@ -161,24 +169,35 @@ class TaskGraph:
         return dict(self._tasks)
 
     def compiled(self) -> CompiledGraph:
-        """The adjacency snapshot of the current graph version, built once.
+        """The slot arrays of the current graph version, built once.
 
         Repeated simulations of one graph share the snapshot instead of
         re-copying the adjacency per run; any :meth:`add_task` or
         :meth:`add_edge` makes the next call build a fresh one.
-        Successor tuples are pre-sorted by insertion index, the reveal
+        Successor slots ascend, which is insertion order: the reveal
         order of tasks that one completion makes available together.
+        Model groups go by object identity, so a model mutated between
+        runs stays in its group and is simply resolved afresh by the
+        next run.
         """
         compiled = self._compiled
         if compiled is not None and compiled.version == self._version:
             return compiled
-        order = {t: i for i, t in enumerate(self._tasks)}
+        index = {t: i for i, t in enumerate(self._tasks)}
+        group_of: dict[int, int] = {}
+        groups = tuple(
+            group_of.setdefault(id(task.model), len(group_of))
+            for task in self._tasks.values()
+        )
         compiled = self._compiled = CompiledGraph(
             self._version,
-            dict(self._tasks),
-            tuple(task for t, task in self._tasks.items() if not self._pred[t]),
-            {t: tuple(sorted(s, key=order.__getitem__)) for t, s in self._succ.items()},
-            {t: len(p) for t, p in self._pred.items()},
+            tuple(self._tasks.values()),
+            index,
+            tuple(index[t] for t, p in self._pred.items() if not p),
+            tuple(tuple(sorted(map(index.__getitem__, s))) for s in self._succ.values()),
+            tuple(len(p) for p in self._pred.values()),
+            groups,
+            len(group_of),
         )
         return compiled
 

@@ -120,7 +120,20 @@ class Allocator(abc.ABC):
             self._cache_bypasses += 1
             return self.allocate(model, P, free=free)
         key_fn = getattr(model, "cache_key", None)
-        key = key_fn() if callable(key_fn) else None
+        return self.allocate_keyed(model, key_fn() if callable(key_fn) else None, P, free)
+
+    def allocate_keyed(
+        self, model: SpeedupModel, key: object, P: int, free: int | None
+    ) -> Allocation:
+        """:meth:`allocate_cached` for a caller that already built ``key``.
+
+        Internal entry point of the engine's reveal table, which calls it
+        on each model group's miss so that no key is built twice.  ``key``
+        must be ``model.cache_key()`` (``None`` for a keyless model), and
+        the caller must have ruled out :meth:`allocate_cached`'s up-front
+        bypasses (``uses_free``, cache disabled).  Counters move exactly as
+        in :meth:`allocate_cached`.
+        """
         if key is None:
             self._cache_bypasses += 1
             return self.allocate(model, P, free=free)

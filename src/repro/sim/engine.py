@@ -15,16 +15,19 @@ At time 0 and at every task completion the engine
    processors (list scheduling, lines 7-11 of Algorithm 1).
 
 The fault-free loop implements this with a *provably transparent* fast
-path (see ``docs/performance.md``): each distinct model ``cache_key`` is
-resolved once per run into an (allocation, duration) pair, the first
-time through the allocator's memoizing entry point
-(:meth:`~repro.sim.allocation.Allocator.allocate_cached`) and afterwards
-from a run-local reveal table; graph adjacency comes from a snapshot
-compiled once per graph version (:meth:`~repro.graph.taskgraph.TaskGraph.compiled`); queue
-passes that cannot start anything are skipped via a lower bound on the
-minimum waiting demand; and priority queues are maintained by sorted
-insertion instead of per-admit re-sorts.  Schedules are bit-identical to
-the naive full-rescan loop; :class:`EngineStats` (attached to every
+path (see ``docs/performance.md``).  It runs in integer slot space: a
+slot view (:func:`~repro.sim.sources.slot_view`) numbers the tasks and
+groups them by model object, from arrays compiled once per graph version
+(:meth:`~repro.graph.taskgraph.TaskGraph.compiled`) for static graphs.
+Each model group is resolved once per run into an (allocation, duration)
+pair, through the allocator's memoizing entry point
+(:meth:`~repro.sim.allocation.Allocator.allocate_cached`) or from a
+run-local table of the ``cache_key`` values already seen; queue passes
+that cannot start anything are skipped via a lower bound on the minimum
+waiting demand; priority queues are maintained by sorted insertion
+instead of per-admit re-sorts; and the :class:`~repro.sim.schedule.Schedule`
+is built once, after the loop.  Schedules are bit-identical to the naive
+full-rescan loop; :class:`EngineStats` (attached to every
 :class:`SimulationResult`, aggregated by :func:`profile_engine`) counts
 events, scans, scan steps, and allocator cache traffic (a reveal-table
 hit counts as the cache hit it replaces) to prove it cheaply.
@@ -54,7 +57,7 @@ if TYPE_CHECKING:  # layering: sim only duck-types resilience at runtime
     from repro.resilience.retry import RetryPolicy
     from repro.speedup.base import SpeedupModel
 
-from repro.exceptions import SimulationError, TaskAbortedError
+from repro.exceptions import ScheduleError, SimulationError, TaskAbortedError
 from repro.obs.events import (
     AllocationDecided,
     CapacityChanged,
@@ -72,8 +75,14 @@ from repro.obs.metrics import MetricsRegistry, active_metrics, collect_metrics
 from repro.sim.allocation import Allocation, AllocationCacheInfo, Allocator
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
-from repro.sim.schedule import Schedule
-from repro.sim.sources import GraphSource, StaticGraphSource
+from repro.sim.schedule import Schedule, ScheduledTask
+from repro.sim.sources import (
+    GraphSource,
+    NumberedSlots,
+    Resolved,
+    StaticGraphSource,
+    slot_view,
+)
 from repro.types import TaskId, Time
 from repro.util.validation import check_positive_int
 
@@ -499,23 +508,32 @@ class ListScheduler:
 
             checker = InvariantChecker(self.P)
 
-        schedule = Schedule(self.P)
-        allocations: dict[TaskId, Allocation] = {}
-        revealed_at: dict[TaskId, Time] = {}
-        # Queue entries are bare ``(sort_key, task, allocation, procs,
-        # duration)`` tuples rather than :class:`_Waiting` records: the
-        # fault-free path never retries or re-allocates, and tuple
-        # construction is an order of magnitude cheaper than a frozen
-        # dataclass on this per-task path.  ``sort_key`` is ``None`` under
-        # FIFO and ``(priority, seq)`` under a priority rule; ``procs`` is
+        # The loop runs in integer slot space: the view numbers tasks
+        # (insertion order for static graphs, reveal order otherwise) and
+        # maps each slot to its Task and its model group.
+        view = slot_view(source)
+        tasks = view.tasks
+        groups = view.groups
+        resolved = view.resolved
+        # Queue entries are bare ``(sort_key, slot, procs, duration,
+        # allocation, revealed_at)`` tuples: the fault-free path never
+        # retries or re-allocates.  ``sort_key`` is ``None`` under FIFO and
+        # ``(priority, seq)`` under a priority rule; ``procs`` is
         # ``allocation.final`` and ``duration`` the task's time on it.
-        queue: list[tuple[object, Task, Allocation, int, Time]] = []
-        # Completion events: (time, tiebreak seq, task id, procs to release).
-        events: list[tuple[Time, int, TaskId, int]] = []
+        queue: list[tuple[object, int, int, Time, Allocation, Time]] = []
+        # Every queue entry in reveal order, and one event per start in
+        # start order: ``(end, seq, slot, procs, start, allocation)``.  The
+        # completion heap holds the same tuples; ``seq`` is unique, so heap
+        # comparisons never look past it.  The Schedule, ``allocations``
+        # and ``revealed_at`` are built from these once the loop is done.
+        revealed_log: list[tuple[object, int, int, Time, Allocation, Time]] = []
+        started: list[tuple[Time, int, int, int, Time, Allocation]] = []
+        events: list[tuple[Time, int, int, int, Time, Allocation]] = []
         seq = itertools.count()
         free = self.P
         now: Time = 0.0
-        stats = EngineStats()
+        # EngineStats counters, kept in locals until the run is over.
+        n_events = queue_scans = scans_skipped = scan_steps = 0
         P = self.P
         priority = self.priority
         # Lower bound on the smallest processor demand among waiting tasks
@@ -532,15 +550,18 @@ class ListScheduler:
         allocator = self.allocator
         allocate_task = getattr(allocator, "allocate_task", None)
         allocate_model = getattr(allocator, "allocate_cached", None)
+        allocate_keyed = getattr(allocator, "allocate_keyed", None)
         use_task_alloc = callable(allocate_task)
-        # Reveal table: one resolved (allocation, procs, duration) per
-        # distinct model cache_key, filled on a key's first reveal through
-        # the allocator's LRU and read by every later task with an equal
-        # key.  Equal keys mean the same time function (the cache_key
-        # contract), so the table is transparent.  It is off exactly where
-        # the LRU would be bypassed for every task.
-        table: dict[object, tuple[Allocation, int, Time]] = {}
-        use_table = callable(allocate_model) and not (
+        # Reveal table: ``resolved[group]`` is the (allocation, procs,
+        # duration) of a model group, filled on the group's first reveal
+        # and read by every later task of the group.  A first reveal looks
+        # the model's cache_key up in ``keyed``, so distinct model objects
+        # with equal keys share one allocator consultation.  Equal keys
+        # mean the same time function (the cache_key contract), so the
+        # table is transparent.  It is off exactly where the LRU would be
+        # bypassed for every task.
+        keyed: dict[object, Resolved] = {}
+        use_table = callable(allocate_keyed) and not (
             use_task_alloc
             or getattr(allocator, "uses_free", False)
             or getattr(allocator, "cache_maxsize", 0) <= 0
@@ -549,71 +570,69 @@ class ListScheduler:
             allocate_model = allocator.allocate
         cache_info = getattr(allocator, "cache_info", None)
         cache_info0 = cache_info() if callable(cache_info) else None
-        schedule_add = schedule.add
         heappush = heapq.heappush
+        # Reveals, starts and completions call out only when someone
+        # observes them (the invariant checker or a tracer).
+        observed = checker is not None or emit is not None
 
-        def admit(tasks: list[Task]) -> None:
+        def admit(slots: list[int]) -> None:
             nonlocal min_demand
-            for task in tasks:
-                tid = task.id
-                if tid in allocations:
-                    raise SimulationError(f"task {tid!r} revealed twice")
-                stats.allocator_calls += 1
-                resolved = None
-                key = None
-                if use_table:
-                    key = task.model.cache_key()
-                    if key is not None:
-                        try:
-                            resolved = table.get(key)
-                        except TypeError:  # unhashable key: the LRU bypasses too
-                            key = None
-                if resolved is not None:
+            for slot in slots:
+                group = groups[slot]
+                res = resolved[group]
+                if res is not None:
                     # A table hit is the LRU hit it replaces: cache_info()
                     # and EngineStats count it as one.
                     allocator._cache_hits += 1
-                    alloc, final, duration = resolved
                     cache = "hit"
                 else:
-                    # Tracing reads the cache counters around the call to
-                    # classify it (hit/miss/bypass); pure observation, the
-                    # allocation itself is untouched.
-                    info_before = (
-                        cache_info() if emit is not None and cache_info0 is not None else None
-                    )
-                    if use_task_alloc:
-                        alloc = allocate_task(task, P, free=free)
+                    model = tasks[slot].model
+                    key = None
+                    if use_table:
+                        # The group's first reveal (or any reveal of a
+                        # keyless group): another model object with an
+                        # equal key may have been resolved already.
+                        key = model.cache_key()
+                        if key is not None:
+                            try:
+                                res = keyed.get(key)
+                            except TypeError:  # unhashable key: the LRU bypasses too
+                                key = None
+                    if res is not None:
+                        allocator._cache_hits += 1
+                        cache = "hit"
                     else:
-                        alloc = allocate_model(task.model, P, free=free)
-                    final = alloc.final
-                    if not 1 <= final <= P:
-                        raise SimulationError(
-                            f"allocator returned infeasible allocation {alloc} "
-                            f"for task {tid!r} on P={P}"
+                        # Tracing reads the cache counters around the call
+                        # to classify it (hit/miss/bypass); pure
+                        # observation, the allocation itself is untouched.
+                        info_before = (
+                            cache_info() if emit is not None and cache_info0 is not None else None
                         )
-                    duration = task.model.time(final)
+                        if use_table:
+                            alloc = allocate_keyed(model, key, P, free)
+                        elif use_task_alloc:
+                            alloc = allocate_task(tasks[slot], P, free=free)
+                        else:
+                            alloc = allocate_model(model, P, free=free)
+                        final = alloc.final
+                        if not 1 <= final <= P:
+                            raise SimulationError(
+                                f"allocator returned infeasible allocation {alloc} "
+                                f"for task {tasks[slot].id!r} on P={P}"
+                            )
+                        res = (alloc, final, model.time(final))
+                        if key is not None:
+                            keyed[key] = res
+                        cache = (
+                            "unknown"
+                            if info_before is None
+                            else _cache_status(info_before, cache_info())
+                        )
                     if key is not None:
-                        table[key] = (alloc, final, duration)
-                    if emit is not None:
-                        info_after = cache_info() if info_before is not None else None
-                        cache = _cache_status(info_before, info_after)
-                allocations[tid] = alloc
-                revealed_at[tid] = now
-                if checker is not None:
-                    checker.on_reveal(now, tid)
-                if emit is not None:
-                    emit(TaskRevealed(now, tid))
-                    emit(
-                        _allocation_event(
-                            allocator,
-                            None if use_task_alloc else task.model,
-                            alloc,
-                            P,
-                            now,
-                            tid,
-                            cache,
-                        )
-                    )
+                        resolved[group] = res
+                alloc, final, duration = res
+                if observed:
+                    observe_reveal(slot, alloc, cache)
                 if final < min_demand:
                     min_demand = final
                 if priority is None:
@@ -621,113 +640,140 @@ class ListScheduler:
                     # enter the event heap, and the heap's tie-break only
                     # needs event seqs to be strictly increasing (which
                     # they remain), so the schedule is unchanged.
-                    queue.append((None, task, alloc, final, duration))
+                    entry = (None, slot, final, duration, alloc, now)
+                    queue.append(entry)
                 else:
                     # Sorted insertion replaces the former per-admit full
                     # sort: allocations and priorities are immutable here,
                     # so inserting by the precomputed (priority, seq) key
                     # reproduces repeated stable sorts exactly.
-                    s = next(seq)
-                    insort(
-                        queue,
-                        ((priority(task, alloc), s), task, alloc, final, duration),
-                        key=_entry_key,
+                    entry = (
+                        (priority(tasks[slot], alloc), next(seq)),
+                        slot,
+                        final,
+                        duration,
+                        alloc,
+                        now,
                     )
+                    insort(queue, entry, key=_entry_key)
+                revealed_log.append(entry)
 
         def start_fitting() -> None:
-            nonlocal free, min_demand
+            nonlocal free, min_demand, queue_scans, scans_skipped, scan_steps
             if not queue:
                 return
             if free < min_demand:
-                stats.scans_skipped += 1
+                scans_skipped += 1
                 return
-            stats.queue_scans += 1
-            remaining: list[tuple[object, Task, Allocation, int, Time]] = []
+            queue_scans += 1
+            remaining: list[tuple[object, int, int, Time, Allocation, Time]] = []
             keep = remaining.append
             n = len(queue)
             scanned = n
-            new_min: float | None = math.inf
+            new_min: float = math.inf
             for idx in range(n):
                 entry = queue[idx]
-                procs = entry[3]
+                procs = entry[2]
                 if procs <= free:
                     # ``procs`` passed admit's 1 <= procs <= P check, and the
                     # platform never shrinks here, so it cannot over-pack.
-                    _, task, alloc, _, duration = entry
                     free -= procs
-                    stats.tasks_started += 1
-                    end = now + duration
-                    tid = task.id
-                    schedule_add(
-                        tid,
-                        now,
-                        end,
-                        procs,
-                        initial_alloc=alloc.initial,
-                        tag=task.tag,
-                    )
-                    if checker is not None:
-                        checker.on_start(now, tid, procs)
-                    if emit is not None:
-                        emit(TaskStarted(now, tid, procs, end))
-                    heappush(events, (end, next(seq), tid, procs))
+                    end = now + entry[3]
+                    if end < now:
+                        raise ScheduleError(
+                            f"task {tasks[entry[1]].id!r}: end {end} before start {now}"
+                        )
+                    event = (end, next(seq), entry[1], procs, now, entry[4])
+                    started.append(event)
+                    heappush(events, event)
+                    if observed:
+                        observe_start(event)
                 else:
                     keep(entry)
                     if procs < new_min:
                         new_min = procs
                 if free < min_demand:
-                    # Nothing further can fit: keep the unscanned tail (order
-                    # preserved) and stop.  The stale bound stays valid — it
-                    # lower-bounds a superset of the remaining queue.
+                    # Nothing further can fit: stop.  The unscanned tail
+                    # stays in place after the kept entries, and the stale
+                    # bound stays valid — it lower-bounds a superset of
+                    # the remaining queue.
                     scanned = idx + 1
-                    if scanned < n:
-                        remaining.extend(queue[scanned:])
-                        new_min = None
                     break
-            stats.scan_steps += scanned
-            queue[:] = remaining
-            if new_min is not None:
-                min_demand = new_min if remaining else math.inf
+            scan_steps += scanned
+            if scanned < n:
+                queue[:scanned] = remaining
+            else:
+                queue[:] = remaining
+                min_demand = new_min
 
-        # Sources may additionally release tasks at future wall-clock times
-        # (the "independent tasks released over time" setting); the engine
-        # detects the capability instead of requiring it.
-        next_release = getattr(source, "next_release_time", None)
-        release_due = getattr(source, "release_due", None)
-        timed = callable(next_release) and callable(release_due)
+        def observe_reveal(slot: int, alloc: Allocation, cache: str) -> None:
+            task = tasks[slot]
+            if checker is not None:
+                checker.on_reveal(now, task.id)
+            if emit is not None:
+                emit(TaskRevealed(now, task.id))
+                emit(
+                    _allocation_event(
+                        allocator,
+                        None if use_task_alloc else task.model,
+                        alloc,
+                        P,
+                        now,
+                        task.id,
+                        cache,
+                    )
+                )
 
-        admit(source.initial_tasks())
+        def observe_start(event: tuple[Time, int, int, int, Time, Allocation]) -> None:
+            task_id = tasks[event[2]].id
+            if checker is not None:
+                checker.on_start(now, task_id, event[3])
+            if emit is not None:
+                emit(TaskStarted(now, task_id, event[3], event[0]))
+
+        def observe_completion(event: tuple[Time, int, int, int, Time, Allocation]) -> None:
+            task_id = tasks[event[2]].id
+            if checker is not None:
+                checker.on_complete(now, task_id)
+            if emit is not None:
+                emit(TaskCompleted(now, task_id, event[3], event[4]))
+
+        admit(view.initial())
         start_fitting()
         if emit is not None:
             emit(QueueSampled(now, len(queue), free))
 
         heappop = heapq.heappop
-        on_complete = source.on_complete
+        on_complete = view.on_complete
 
-        if not timed:
+        if not (isinstance(view, NumberedSlots) and view.timed):
             # Untimed sources (the paper's setting): the next event is
             # always the earliest completion, so the loop runs heap-driven
             # without the release-time bookkeeping of the general case.
             while events:
                 now = events[0][0]
-                stats.events += 1
-                revealed: list[Task] = []
+                n_events += 1
+                revealed: list[int] = []
                 # Drain every completion at this instant before rescanning
                 # the queue, so simultaneous completions release processors
                 # together.
                 while events and events[0][0] == now:
-                    _, _, task_id, procs = heappop(events)
-                    free += procs
-                    if checker is not None:
-                        checker.on_complete(now, task_id)
-                    if emit is not None:
-                        emit(TaskCompleted(now, task_id, procs, schedule[task_id].start))
-                    revealed.extend(on_complete(task_id))
-                admit(revealed)
+                    event = heappop(events)
+                    free += event[3]
+                    if observed:
+                        observe_completion(event)
+                    revealed.extend(on_complete(event[2]))
+                if revealed:
+                    admit(revealed)
                 start_fitting()
                 if emit is not None:
                     emit(QueueSampled(now, len(queue), free))
         else:
+            # Sources that also release tasks at future wall-clock times
+            # (the "independent tasks released over time" setting): time
+            # also advances to release instants, even on an idle platform.
+            next_release = getattr(source, "next_release_time", None)
+            release_due = view.release_due
             while True:
                 t_completion = events[0][0] if events else math.inf
                 t_release = math.inf
@@ -737,35 +783,42 @@ class ListScheduler:
                 if math.isinf(t_completion) and math.isinf(t_release):
                     break
                 now = min(t_completion, t_release)
-                stats.events += 1
+                n_events += 1
                 revealed = []
                 if t_release <= now:
                     revealed.extend(release_due(now))
                 while events and events[0][0] == now:
-                    _, _, task_id, procs = heappop(events)
-                    free += procs
-                    if checker is not None:
-                        checker.on_complete(now, task_id)
-                    if emit is not None:
-                        emit(TaskCompleted(now, task_id, procs, schedule[task_id].start))
-                    revealed.extend(on_complete(task_id))
-                admit(revealed)
+                    event = heappop(events)
+                    free += event[3]
+                    if observed:
+                        observe_completion(event)
+                    revealed.extend(on_complete(event[2]))
+                if revealed:
+                    admit(revealed)
                 start_fitting()
                 if emit is not None:
                     emit(QueueSampled(now, len(queue), free))
 
         if queue:
-            stuck = [entry[1].id for entry in queue[:10]]
+            stuck = [tasks[entry[1]].id for entry in queue[:10]]
             raise SimulationError(
                 f"deadlock: tasks {stuck!r} can never start (free={free}, P={self.P})"
             )
-        if not source.is_exhausted():
+        if not view.is_exhausted():
             raise SimulationError(
                 "source still holds unrevealed tasks after the queue drained; "
                 "the revealed graph is disconnected from its sources"
             )
         if checker is not None:
             checker.on_end(now)
+        stats = EngineStats(
+            events=n_events,
+            tasks_started=len(started),
+            queue_scans=queue_scans,
+            scans_skipped=scans_skipped,
+            scan_steps=scan_steps,
+            allocator_calls=len(revealed_log),
+        )
         if cache_info0 is not None:
             info = cache_info()
             stats.alloc_cache_hits = info.hits - cache_info0.hits
@@ -774,6 +827,23 @@ class ListScheduler:
         registry = active_metrics()
         if registry is not None:
             registry.record_engine_stats(stats.as_dict())
+        # Every Schedule.add guard already held: one start per slot, task
+        # ids unique per view (checked at reveal), 1 <= procs <= P (checked
+        # at reveal) and end >= start (checked at start).
+        new = tuple.__new__
+        schedule = Schedule._from_entries(
+            P,
+            [
+                new(
+                    ScheduledTask,
+                    (tasks[slot].id, start, end, procs, alloc.initial or procs, tasks[slot].tag),
+                )
+                for end, _, slot, procs, start, alloc in started
+            ],
+        )
+        ids = [tasks[entry[1]].id for entry in revealed_log]
+        allocations = dict(zip(ids, [entry[4] for entry in revealed_log]))
+        revealed_at = dict(zip(ids, [entry[5] for entry in revealed_log]))
         return SimulationResult(
             schedule, allocations, source.realized_graph(), revealed_at, stats=stats
         )

@@ -97,6 +97,19 @@ class Schedule:
         self._by_task[task_id] = entry
         return entry
 
+    @classmethod
+    def _from_entries(cls, P: int, entries: list[ScheduledTask]) -> Schedule:
+        """Adopt ``entries`` as a schedule without re-running :meth:`add`'s checks.
+
+        For callers that already enforce every :meth:`add` guard (unique
+        ids, ``1 <= procs <= P``, ``end >= start``); the engine builds its
+        whole schedule this way once the run is over.
+        """
+        schedule = cls(P)
+        schedule._entries = entries
+        schedule._by_task = {entry[0]: entry for entry in entries}
+        return schedule
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.exceptions import SimulationError
 from repro.graph.task import Task
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import CompiledGraph, TaskGraph
+from repro.sim.allocation import Allocation
 from repro.types import TaskId
 
 if TYPE_CHECKING:
@@ -28,8 +29,11 @@ if TYPE_CHECKING:
 
 __all__ = ["GraphSource", "StaticGraphSource", "ReleasedTaskSource"]
 
-#: ``StaticGraphSource`` marks completed tasks with this unmet-predecessor count.
+#: ``StaticSlots`` marks completed tasks with this unmet-predecessor count.
 _COMPLETED = -1
+
+#: A model group resolved by the engine: (allocation, procs, duration).
+Resolved = tuple[Allocation, int, float]
 
 
 @runtime_checkable
@@ -65,50 +69,147 @@ class StaticGraphSource:
     reveal order of simultaneously available tasks.
 
     The adjacency comes from
-    :meth:`~repro.graph.taskgraph.TaskGraph.compiled`, one snapshot per
-    graph version shared by every source over that version (successors
-    already sorted in reveal order), so a run copies only the in-degree
-    map.  Each source keeps its own reveal and completion state in that
-    copy: a task's count of unmet predecessors drops to 0 on reveal and is
-    set to -1 on completion.
+    :meth:`~repro.graph.taskgraph.TaskGraph.compiled`, one set of slot
+    arrays per graph version shared by every source over that version.
+    Each source keeps its own reveal and completion state in a
+    :class:`StaticSlots` view, which the engine drives directly; the
+    id-keyed methods here translate to and from slots.
     """
 
     def __init__(self, graph: TaskGraph) -> None:
         self._graph = graph
-        compiled = graph.compiled()
-        self._tasks = compiled.tasks
-        self._roots = compiled.roots
-        self._succ = compiled.successors
-        self._pending: dict[TaskId, int] = dict(compiled.in_degree)
-        self._started = False
-        self._done = 0
+        self._slots = StaticSlots(graph.compiled())
 
     def initial_tasks(self) -> list[Task]:
-        self._started = True
-        return list(self._roots)
+        tasks = self._slots.tasks
+        return [tasks[s] for s in self._slots.initial()]
 
     def on_complete(self, task_id: TaskId) -> list[Task]:
-        pending = self._pending
-        left = pending.get(task_id)
-        if left != 0 or not self._started:
-            if left == _COMPLETED:
-                raise SimulationError(f"task {task_id!r} completed twice")
+        slots = self._slots
+        slot = slots.index.get(task_id)
+        if slot is None:
             raise SimulationError(f"completion of unrevealed task {task_id!r}")
-        pending[task_id] = _COMPLETED
-        self._done += 1
-        newly_ready: list[Task] = []
-        for succ in self._succ[task_id]:
-            left = pending[succ] - 1
-            pending[succ] = left
-            if not left:
-                newly_ready.append(self._tasks[succ])
-        return newly_ready
+        tasks = slots.tasks
+        return [tasks[s] for s in slots.on_complete(slot)]
 
     def is_exhausted(self) -> bool:
-        return self._done == len(self._tasks)
+        return self._slots.is_exhausted()
 
     def realized_graph(self) -> TaskGraph:
         return self._graph
+
+
+class StaticSlots:
+    """Slot view of a :class:`StaticGraphSource`: walks the compiled arrays.
+
+    ``pending[slot]`` counts the unmet predecessors of a task, drops to 0
+    on reveal and is set to -1 on completion.  A root counts its reveal
+    as one unmet predecessor until :meth:`initial` reveals it, so an early
+    completion of a root is rejected like any other unrevealed task.
+    """
+
+    def __init__(self, compiled: CompiledGraph) -> None:
+        self.tasks = compiled.tasks
+        self.index = compiled.index
+        self.groups = compiled.groups
+        #: The engine's per-run reveal table, one entry per model group.
+        self.resolved: list[Resolved | None] = [None] * compiled.group_count
+        self._roots = compiled.roots
+        self._succ = compiled.successors
+        pending = self._pending = list(compiled.in_degree)
+        for root in self._roots:
+            pending[root] = 1
+
+    def initial(self) -> list[int]:
+        pending = self._pending
+        for root in self._roots:
+            if pending[root] == 1:
+                pending[root] = 0
+        return list(self._roots)
+
+    def on_complete(self, slot: int) -> list[int]:
+        pending = self._pending
+        if pending[slot]:
+            if pending[slot] == _COMPLETED:
+                raise SimulationError(f"task {self.tasks[slot].id!r} completed twice")
+            raise SimulationError(f"completion of unrevealed task {self.tasks[slot].id!r}")
+        pending[slot] = _COMPLETED
+        ready: list[int] = []
+        for succ in self._succ[slot]:
+            left = pending[succ] - 1
+            pending[succ] = left
+            if not left:
+                ready.append(succ)
+        return ready
+
+    def is_exhausted(self) -> bool:
+        return self._pending.count(_COMPLETED) == len(self._pending)
+
+
+class NumberedSlots:
+    """Slot view of any other :class:`GraphSource`.
+
+    Numbers tasks in reveal order and groups them by model object, as
+    :meth:`~repro.graph.taskgraph.TaskGraph.compiled` does for static
+    graphs, and delegates every completion to the source's
+    ``on_complete(task_id)``.  A task id revealed a second time is
+    rejected here, before the engine admits it.
+    """
+
+    def __init__(self, source: GraphSource) -> None:
+        self._source = source
+        self.tasks: list[Task] = []
+        self.groups: list[int] = []
+        #: The engine's per-run reveal table, one entry per model group.
+        self.resolved: list[Resolved | None] = []
+        self._slot_of: dict[TaskId, int] = {}
+        self._group_of: dict[int, int] = {}
+        self._release_due = getattr(source, "release_due", None)
+        #: Whether the source also releases tasks at future times
+        #: (``next_release_time`` and ``release_due``, as
+        #: :class:`ReleasedTaskSource` does).
+        self.timed = callable(self._release_due) and callable(
+            getattr(source, "next_release_time", None)
+        )
+
+    def _number(self, revealed: list[Task]) -> list[int]:
+        slots: list[int] = []
+        for task in revealed:
+            if task.id in self._slot_of:
+                raise SimulationError(f"task {task.id!r} revealed twice")
+            slot = self._slot_of[task.id] = len(self.tasks)
+            self.tasks.append(task)
+            group = self._group_of.get(id(task.model))
+            if group is None:
+                group = self._group_of[id(task.model)] = len(self.resolved)
+                self.resolved.append(None)
+            self.groups.append(group)
+            slots.append(slot)
+        return slots
+
+    def initial(self) -> list[int]:
+        return self._number(self._source.initial_tasks())
+
+    def on_complete(self, slot: int) -> list[int]:
+        return self._number(self._source.on_complete(self.tasks[slot].id))
+
+    def release_due(self, now: float) -> list[int]:
+        return self._number(self._release_due(now))
+
+    def is_exhausted(self) -> bool:
+        return self._source.is_exhausted()
+
+
+def slot_view(source: GraphSource) -> StaticSlots | NumberedSlots:
+    """The integer-slot view through which the engine drives ``source``.
+
+    Only a plain :class:`StaticGraphSource` is driven through its compiled
+    arrays; every other source, subclasses included, keeps its own
+    ``on_complete`` behind a :class:`NumberedSlots` view.
+    """
+    if type(source) is StaticGraphSource:
+        return source._slots
+    return NumberedSlots(source)
 
 
 class ReleasedTaskSource:

@@ -1,12 +1,13 @@
-"""Engine edge cases: ill-behaved sources, combined capabilities."""
+"""Engine edge cases: ill-behaved sources, combined capabilities, guards."""
 
 import pytest
 
 from repro.baselines.online import MaxUsefulAllocator
-from repro.exceptions import SimulationError
+from repro.exceptions import ScheduleError, SimulationError
 from repro.graph import TaskGraph
-from repro.sim import ListScheduler, ReleasedTaskSource
-from repro.speedup import AmdahlModel, RooflineModel
+from repro.sim import Allocation, Allocator, ListScheduler, ReleasedTaskSource
+from repro.sim.sources import StaticGraphSource, slot_view
+from repro.speedup import AmdahlModel, RooflineModel, SpeedupModel
 
 
 class _LyingSource:
@@ -99,3 +100,146 @@ class TestCombinedCapabilities:
             ReleasedTaskSource(entries)
         )
         assert result.schedule["first"].start < result.schedule["second"].start
+
+
+class _NegativeTimeModel(SpeedupModel):
+    """A custom model whose time is negative at every allotment."""
+
+    def time(self, p):
+        return -1.0
+
+    def cache_key(self):
+        return ("negative",)
+
+
+class _FixedAllocator(Allocator):
+    """Returns one allocation whatever the model; with the LRU on or off."""
+
+    def __init__(self, allocation, cache=True):
+        self._allocation = allocation
+        if not cache:
+            self.configure_cache(0)
+
+    def allocate(self, model, P, *, free=None):
+        return self._allocation
+
+
+class _DuckAllocation:
+    """Looks like an Allocation but skips its validation."""
+
+    def __init__(self, procs):
+        self.initial = self.final = procs
+
+
+class _AlwaysAbove(int):
+    """A processor count that claims to exceed every free count."""
+
+    def __gt__(self, other):
+        return True
+
+
+class _RevealAfterCompletion:
+    """Reveals ``a`` at time 0, then ``a`` again when it completes."""
+
+    def __init__(self):
+        self._g = TaskGraph()
+        self._task = self._g.add_task("a", AmdahlModel(1.0, 1.0))
+
+    def initial_tasks(self):
+        return [self._task]
+
+    def on_complete(self, task_id):
+        return [self._task]
+
+    def is_exhausted(self):
+        return True
+
+    def realized_graph(self):
+        return self._g
+
+
+class _RevealsAheadOfGraph:
+    """Reveals every task at once but reports completions to a static source."""
+
+    def __init__(self, graph):
+        self._inner = StaticGraphSource(graph)
+        self._graph = graph
+
+    def initial_tasks(self):
+        self._inner.initial_tasks()
+        return self._graph.tasks()
+
+    def on_complete(self, task_id):
+        return self._inner.on_complete(task_id)
+
+    def is_exhausted(self):
+        return self._inner.is_exhausted()
+
+    def realized_graph(self):
+        return self._graph
+
+
+@pytest.fixture
+def two_step_graph():
+    g = TaskGraph()
+    g.add_task("a", AmdahlModel(1.0, 1.0))
+    g.add_task("b", AmdahlModel(1.0, 1.0))
+    g.add_edge("a", "b")
+    return g
+
+
+class TestLoopGuards:
+    """Every error the fault-free loop raises keeps its exception type."""
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+    def test_negative_time_is_end_before_start(self, cache):
+        g = TaskGraph()
+        g.add_task("neg", _NegativeTimeModel())
+        allocator = _FixedAllocator(Allocation(initial=1, final=1), cache)
+        with pytest.raises(ScheduleError, match="'neg': end -1.0 before start 0.0"):
+            ListScheduler(4, allocator).run(g)
+
+    def test_task_revealed_again_after_completion(self):
+        with pytest.raises(SimulationError, match="revealed twice"):
+            ListScheduler(4, MaxUsefulAllocator()).run(_RevealAfterCompletion())
+
+    def test_completion_of_a_task_the_source_never_revealed(self):
+        g = TaskGraph()
+        g.add_task("a", RooflineModel(10.0, 1))
+        g.add_task("b", RooflineModel(1.0, 1))  # finishes before its predecessor
+        g.add_edge("a", "b")
+        with pytest.raises(SimulationError, match="unrevealed task 'b'"):
+            ListScheduler(4, MaxUsefulAllocator()).run(_RevealsAheadOfGraph(g))
+
+    def test_slot_view_rejects_unrevealed_and_repeated_completions(self, two_step_graph):
+        view = slot_view(StaticGraphSource(two_step_graph))
+        with pytest.raises(SimulationError, match="unrevealed task 'a'"):
+            view.on_complete(0)  # a root, before initial()
+        assert view.initial() == [0]
+        with pytest.raises(SimulationError, match="unrevealed task 'b'"):
+            view.on_complete(1)
+        assert view.on_complete(0) == [1]
+        with pytest.raises(SimulationError, match="'a' completed twice"):
+            view.on_complete(0)
+        assert not view.is_exhausted()
+        assert view.on_complete(1) == []
+        assert view.is_exhausted()
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+    @pytest.mark.parametrize("procs", [0, 5])
+    def test_infeasible_allocation(self, two_step_graph, cache, procs):
+        allocator = _FixedAllocator(_DuckAllocation(procs), cache)
+        with pytest.raises(SimulationError, match="infeasible allocation"):
+            ListScheduler(4, allocator).run(two_step_graph)
+
+    def test_deadlock(self, two_step_graph):
+        # Every feasible count fits an idle platform, so only a count that
+        # compares above every free count can reach the deadlock guard.
+        one = _AlwaysAbove(1)
+        allocator = _FixedAllocator(Allocation(initial=one, final=one))
+        with pytest.raises(SimulationError, match=r"deadlock: tasks \['a'\]"):
+            ListScheduler(4, allocator).run(two_step_graph)
+
+    def test_disconnected_source(self):
+        with pytest.raises(SimulationError, match="disconnected"):
+            ListScheduler(4, MaxUsefulAllocator()).run(_LyingSource())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.arbitrary import AdaptiveChainSource, chain_forest_platform
 from repro.baselines.cpa import AllotmentAllocator
 from repro.baselines.online import AvailableProcessorsAllocator, MaxUsefulAllocator
 from repro.core.allocator import LpaAllocator
@@ -190,46 +191,95 @@ def stat_counts(stats):
     return stats.alloc_cache_hits, stats.alloc_cache_misses, stats.alloc_cache_bypasses
 
 
-class TestRevealTable:
-    """One allocation and duration per distinct cache_key per run."""
+class _ListKeyModel(GeneralModel):
+    def cache_key(self):  # lists are unhashable: the LRU and the table bypass
+        return ["eq1", self.w, self.d, self.c, self.max_parallelism]
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        pool_size=st.integers(1, 4),
-        P=st.sampled_from([1, 3, 16, 64, 1000]),
-        family=st.sampled_from(["roofline", "communication", "amdahl", "general"]),
-        fifo=st.booleans(),
-    )
-    def test_schedules_match_an_uncached_run(self, seed, pool_size, P, family, fifo):
+
+def _model_source(kind, params, rng):
+    """A model factory drawing from ``params`` with one way of sharing models.
+
+    ``shared``: tasks share a few model objects.  ``equal``: every task gets
+    a fresh object, so distinct objects carry equal keys.  ``keyless`` and
+    ``unhashable``: shared objects whose key is ``None`` or a list.
+    """
+    if kind == "equal":
+        return lambda: GeneralModel(*params[int(rng.integers(len(params)))])
+    if kind == "shared":
+        pool = [GeneralModel(*p) for p in params]
+    elif kind == "keyless":
+        pool = [CallableModel(GeneralModel(*p).time, monotonic=True) for p in params]
+    else:
+        pool = [_ListKeyModel(*p) for p in params]
+    return lambda: pool[int(rng.integers(len(pool)))]
+
+
+def _source_builder(shape, kind, family, seed):
+    """A callable building one fresh, deterministic source per run."""
+    if shape == "adaptive":
+        return lambda: AdaptiveChainSource(2 + seed % 2)
+
+    def build():
         rng = np.random.default_rng(seed)
-        pool = [
-            GeneralModel(
+        params = [
+            (
                 float(rng.uniform(1.0, 100.0)),
                 float(rng.uniform(0.0, 2.0)) if family in ("amdahl", "general") else 0.0,
                 float(rng.uniform(0.0, 0.5)) if family in ("communication", "general") else 0.0,
                 int(rng.integers(1, 64)) if family in ("roofline", "general") else None,
             )
-            for _ in range(pool_size)
+            for _ in range(int(rng.integers(1, 5)))
         ]
-        graph = layered_random(
-            4, 6, lambda: pool[int(rng.integers(pool_size))],
-            edge_probability=0.3, seed=np.random.default_rng(seed + 1),
+        factory = _model_source(kind, params, rng)
+        if shape == "static":
+            return layered_random(
+                4, 6, factory, edge_probability=0.3, seed=np.random.default_rng(seed + 1)
+            )
+        return ReleasedTaskSource(
+            [(float(rng.integers(0, 5)), factory()) for _ in range(20)]
         )
+
+    return build
+
+
+class TestRevealTable:
+    """One allocation and duration per distinct cache_key per run."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from(["static", "released", "adaptive"]),
+        kind=st.sampled_from(["shared", "equal", "keyless", "unhashable"]),
+        P=st.sampled_from([1, 3, 16, 64, 1000]),
+        family=st.sampled_from(["roofline", "communication", "amdahl", "general"]),
+        fifo=st.booleans(),
+    )
+    def test_schedules_match_an_uncached_run(self, seed, shape, kind, P, family, fifo):
+        build = _source_builder(shape, kind, family, seed)
+        if shape == "adaptive":
+            P = chain_forest_platform(2 + seed % 2)[2]
         priority = None if fifo else (lambda task, alloc: -alloc.final)
         cached = ListScheduler(P, LpaAllocator(MU_STAR[family]), priority=priority)
         uncached_alloc = LpaAllocator(MU_STAR[family])
         uncached_alloc.configure_cache(0)
         uncached = ListScheduler(P, uncached_alloc, priority=priority)
 
-        result, delta = cache_delta(cached.allocator, lambda: cached.run(graph))
-        reference = uncached.run(graph)
+        result, delta = cache_delta(cached.allocator, lambda: cached.run(build()))
+        reference = uncached.run(build())
         assert result.schedule.entries == reference.schedule.entries
-        assert result.allocations == reference.allocations
+        assert list(result.allocations.items()) == list(reference.allocations.items())
+        assert list(result.revealed_at.items()) == list(reference.revealed_at.items())
         assert delta == stat_counts(result.stats)
-        assert sum(delta) == len(graph)
-        assert delta[1] == len({t.model.cache_key() for t in graph.tasks()})
-        assert reference.stats.alloc_cache_bypasses == len(graph)
+        n = len(result.schedule)
+        assert sum(delta) == result.stats.allocator_calls == result.stats.tasks_started == n
+        assert reference.stats.alloc_cache_bypasses == n
+        if shape != "adaptive" and kind in ("keyless", "unhashable"):
+            assert delta == (0, 0, n)
+        else:
+            keys = {result.graph.task(t).model.cache_key() for t in result.graph}
+            assert delta == (n - len(keys), len(keys), 0)
+        tracer = CollectingTracer()
+        assert cached.run(build(), tracer=tracer).schedule.entries == result.schedule.entries
 
     def test_traced_run_reports_table_hits(self):
         graph = independent_tasks(12, comm)
@@ -291,3 +341,45 @@ class TestRevealTable:
         allocator = LpaAllocator(MU_STAR["general"])
         result, delta = cache_delta(allocator, lambda: ListScheduler(8, allocator).run(graph))
         assert delta == stat_counts(result.stats) == (0, 0, 5)
+
+    def test_one_cache_key_call_per_miss(self, key_calls):
+        models = iter([GeneralModel(10.0 + i, 1.0, 0.1) for i in range(9)])
+        graph = independent_tasks(9, models.__next__)
+        allocator = LpaAllocator(MU_STAR["general"])
+        result = ListScheduler(16, allocator).run(graph)
+        assert stat_counts(result.stats) == (0, 9, 0)
+        assert len(key_calls) == 9
+        key_calls.clear()
+        allocator.allocate_cached(GeneralModel(5.0, 1.0, 0.1), 16)
+        assert len(key_calls) == 1
+
+    def test_one_cache_key_call_per_model_object(self, key_calls):
+        shared = GeneralModel(30.0, 1.0, 0.1)
+        equal = [GeneralModel(30.0, 1.0, 0.1) for _ in range(3)]
+        graph = TaskGraph()
+        for i in range(12):
+            graph.add_task(("shared", i), shared)
+            graph.add_task(("equal", i), equal[i % 3])
+        result = OnlineScheduler.for_family("general", 16).run(graph)
+        assert stat_counts(result.stats) == (23, 1, 0)
+        assert key_calls == [shared, *equal]
+
+    def test_model_mutated_between_runs_is_resolved_afresh(self):
+        def build(model):
+            return layered_random(
+                3, 5, lambda: model, edge_probability=0.4, seed=np.random.default_rng(3)
+            )
+
+        model = GeneralModel(40.0, 1.0, 0.2)
+        graph = build(model)
+        scheduler = OnlineScheduler.for_family("general", 64)
+        first = scheduler.run(graph)
+        model.w, model.c = 4000.0, 0.001
+        again = scheduler.run(graph)
+        fresh = OnlineScheduler.for_family("general", 64).run(
+            build(GeneralModel(4000.0, 1.0, 0.001))
+        )
+        assert again.allocations != first.allocations
+        assert again.schedule.entries == fresh.schedule.entries
+        assert list(again.allocations.items()) == list(fresh.allocations.items())
+        assert stat_counts(again.stats) == (len(graph) - 1, 1, 0)

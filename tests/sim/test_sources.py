@@ -63,6 +63,24 @@ class TestCompiledSnapshot:
     def test_sources_of_one_version_share_the_snapshot(self, small_graph):
         assert small_graph.compiled() is small_graph.compiled()
 
+    def test_slot_arrays_follow_insertion_order(self, small_graph):
+        compiled = small_graph.compiled()
+        assert [t.id for t in compiled.tasks] == ["a", "b", "c", "d"]
+        assert compiled.index == {"a": 0, "b": 1, "c": 2, "d": 3}
+        assert compiled.roots == (0,)
+        assert compiled.successors == ((1, 2), (3,), (3,), ())
+        assert compiled.in_degree == (0, 1, 1, 2)
+
+    def test_model_groups_follow_object_identity(self):
+        shared = AmdahlModel(1.0, 0.5)
+        g = TaskGraph()
+        g.add_task("x", shared)
+        g.add_task("twin", AmdahlModel(1.0, 0.5))  # equal key, other object
+        g.add_task("y", shared)
+        compiled = g.compiled()
+        assert compiled.groups == (0, 1, 0)
+        assert compiled.group_count == 2
+
     def test_add_task_after_a_run_recompiles(self, small_graph):
         OnlineScheduler.for_family("amdahl", 4).run(small_graph)
         before = small_graph.compiled()
