@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 from repro.core.constants import MODEL_FAMILIES, MU_MAX, delta
 from repro.exceptions import InvalidParameterError
 from repro.util.validation import check_in_range, check_positive, check_positive_int
@@ -156,6 +154,9 @@ def optimize_mu(family: str, *, xatol: float = 1e-12) -> OptimizedRatio:
     Reproduces the paper's per-model optimization; the resulting ratios
     round to Table 1's upper-bound row (2.62, 3.61, 4.74, 5.72).
     """
+    # Loaded here, not at module level: no simulation path needs scipy.
+    from scipy.optimize import minimize_scalar
+
     if family == "roofline":
         # Closed form (Theorem 1): ratio = 1/mu minimized at mu = MU_MAX.
         mu = MU_MAX

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Any
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import GraphError
 from repro.graph.taskgraph import TaskGraph
@@ -16,6 +14,9 @@ from repro.speedup.communication import CommunicationModel
 from repro.speedup.general import GeneralModel
 from repro.speedup.power import PowerLawModel
 from repro.speedup.roofline import RooflineModel
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "model_to_dict",
@@ -118,6 +119,8 @@ def to_networkx(graph: TaskGraph) -> nx.DiGraph:
     Node attributes: ``model`` (the :class:`SpeedupModel` object) and
     ``tag``.  Useful for visualization or graph-algorithm post-processing.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     for task in graph.tasks():
         g.add_node(task.id, model=task.model, tag=task.tag)
@@ -131,6 +134,8 @@ def from_networkx(g: nx.DiGraph) -> TaskGraph:
     Raises :class:`~repro.exceptions.GraphError` if the digraph is cyclic
     or a node lacks a ``model`` attribute.
     """
+    import networkx as nx
+
     if not nx.is_directed_acyclic_graph(g):
         raise GraphError("networkx graph must be a DAG")
     out = TaskGraph()

@@ -592,7 +592,7 @@ class SharedPool:
 
     def _start(self, run: TenantRun, task: PoolTask, entry: _QueueEntry) -> None:
         procs = entry.allocation.final
-        ids = tuple(heapq.nsmallest(procs, self.free_set))
+        ids = tuple(sorted(self.free_set)[:procs])
         self.free_set.difference_update(ids)
         owner = (run.tenant, task.task_id)
         for q in ids:

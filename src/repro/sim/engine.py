@@ -1017,7 +1017,7 @@ class ListScheduler:
                         f"capacity P_t={capacity} at start time t={now:.6g}"
                     )
                 if procs <= len(free_set):
-                    ids = tuple(heapq.nsmallest(procs, free_set))
+                    ids = tuple(sorted(free_set)[:procs])
                     free_set.difference_update(ids)
                     for q in ids:
                         proc_owner[q] = waiting.task.id

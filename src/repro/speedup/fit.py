@@ -17,7 +17,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.exceptions import FittingError
 from repro.speedup.amdahl import AmdahlModel
@@ -56,6 +55,9 @@ def _clean(samples: Iterable[tuple[int, float]], min_distinct: int) -> tuple[np.
 
 
 def _nnls_fit(columns: Sequence[np.ndarray], ts: np.ndarray) -> np.ndarray:
+    # Loaded here, not at module level: no simulation path needs scipy.
+    from scipy.optimize import nnls
+
     design = np.column_stack(columns)
     coeffs, _residual = nnls(design, ts)
     return coeffs
