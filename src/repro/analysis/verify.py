@@ -5,7 +5,8 @@ Given a :class:`~repro.sim.engine.SimulationResult` produced by
 quantity the competitive-ratio proof manipulates and checks each inequality
 on the *actual* run:
 
-* feasibility (capacity, precedence, durations),
+* feasibility (:func:`repro.sim.feasibility.validate_result`, durations
+  included),
 * Algorithm 2's per-task constraints: :math:`p'_j \\le \\lceil\\mu P\\rceil`,
   :math:`\\beta_j = t(p_j)/t^{\\min}_j \\le \\delta(\\mu)`,
 * Lemma 3: :math:`\\mu T_2 + (1-\\mu) T_3 \\le \\alpha A_{\\min}/P`,
@@ -25,8 +26,9 @@ from dataclasses import dataclass
 from repro.bounds import makespan_lower_bound
 from repro.core.constants import delta
 from repro.core.ratios import framework_ratio
-from repro.exceptions import ScheduleError
+from repro.exceptions import InvariantViolationError, ScheduleError
 from repro.sim.engine import SimulationResult
+from repro.sim.feasibility import slack, validate_result
 from repro.sim.intervals import decompose_intervals
 from repro.util.validation import check_in_range
 
@@ -95,9 +97,7 @@ class AnalysisCertificate:
         )
 
 
-def verify_run(
-    result: SimulationResult, mu: float, *, rtol: float = 1e-9
-) -> AnalysisCertificate:
+def verify_run(result: SimulationResult, mu: float) -> AnalysisCertificate:
     """Check the paper's analysis on a concrete run of Algorithm 1.
 
     ``mu`` must be the parameter the scheduler actually ran with
@@ -110,9 +110,9 @@ def verify_run(
     d = delta(mu)
 
     try:
-        result.schedule.validate(graph, rtol=rtol)
+        validate_result(result, graph, check_durations=True)
         feasible = True
-    except ScheduleError:
+    except (ScheduleError, InvariantViolationError):
         feasible = False
 
     import math
@@ -133,7 +133,7 @@ def verify_run(
 
     lb = makespan_lower_bound(graph, P)
     dec = decompose_intervals(result.schedule, mu)
-    tol = rtol * max(1.0, result.makespan)
+    tol = slack(result.makespan)
 
     lemma3_ok = dec.lemma3_lhs() <= alpha_realized * lb.area_bound + tol
     lemma4_ok = dec.lemma4_lhs(d) <= lb.critical_path_bound + tol

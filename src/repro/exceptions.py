@@ -59,20 +59,15 @@ class ScheduleError(ReproError):
     """Base class for schedule feasibility violations."""
 
 
-class CapacityExceededError(ScheduleError):
-    """More processors were used at some instant than the platform has."""
-
-
-class PrecedenceViolationError(ScheduleError):
-    """A task started before one of its predecessors completed."""
-
-
 class SimulationError(ReproError):
     """The discrete-event engine reached an inconsistent state."""
 
 
 class InvariantViolationError(SimulationError):
     """A runtime invariant of the engine was violated mid-simulation.
+
+    The capacity and precedence errors are also schedule errors: one rule
+    (:mod:`repro.sim.feasibility`) judges schedules and runs alike.
 
     Carries structured event context so a failing run can be diagnosed
     without re-executing it: the simulated ``time``, the ``event`` kind
@@ -99,6 +94,14 @@ class InvariantViolationError(SimulationError):
         self.time = time
         self.event = event
         self.task_id = task_id
+
+
+class CapacityExceededError(ScheduleError, InvariantViolationError):
+    """More processors were used at some instant than the platform has."""
+
+
+class PrecedenceViolationError(ScheduleError, InvariantViolationError):
+    """A task started before one of its predecessors completed."""
 
 
 class TaskAbortedError(SimulationError):

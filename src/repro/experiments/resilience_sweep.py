@@ -30,7 +30,7 @@ from repro.core.constants import MODEL_FAMILIES
 from repro.core.scheduler import OnlineScheduler
 from repro.experiments.registry import ExperimentReport
 from repro.resilience import ExponentialFaultModel, RetryPolicy
-from repro.sim.invariants import validate_result
+from repro.sim.feasibility import validate_result
 from repro.speedup.random import RandomModelFactory
 from repro.util.tables import format_table
 from repro.workflows import cholesky

@@ -13,12 +13,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.exceptions import (
-    CapacityExceededError,
-    PrecedenceViolationError,
-    ScheduleError,
-)
+from repro.exceptions import CapacityExceededError, ScheduleError
 from repro.graph.taskgraph import TaskGraph
+from repro.sim import feasibility
 from repro.types import TaskId, Time
 from repro.util.validation import check_positive_int
 
@@ -64,7 +61,7 @@ class MalleableSchedule:
             )
         segment = TaskSegment(task_id, start, end, procs)
         segments = self._segments.setdefault(task_id, [])
-        if segments and start < segments[-1].end - 1e-12 * max(1.0, segments[-1].end):
+        if segments and start < segments[-1].end - feasibility.slack(segments[-1].end):
             raise ScheduleError(
                 f"segments of {task_id!r} overlap or run backwards"
             )
@@ -110,21 +107,11 @@ class MalleableSchedule:
 
     def utilization_profile(self) -> tuple[np.ndarray, np.ndarray]:
         """Like :meth:`repro.sim.Schedule.utilization_profile`, per segment."""
-        segs = [s for s in self if s.duration > 0]
-        if not segs:
-            return np.array([0.0]), np.array([], dtype=np.int64)
-        points = sorted({s.start for s in segs} | {s.end for s in segs})
-        breakpoints = np.asarray(points, dtype=float)
-        usage = np.zeros(len(points) - 1, dtype=np.int64)
-        for s in segs:
-            i0 = int(np.searchsorted(breakpoints, s.start))
-            i1 = int(np.searchsorted(breakpoints, s.end))
-            usage[i0:i1] += s.procs
-        return breakpoints, usage
+        return feasibility.busy_profile([s for s in self if s.duration > 0])
 
     # ------------------------------------------------------------------
-    def validate(self, graph: TaskGraph | None = None, *, rtol: float = 1e-9) -> None:
-        """Feasibility + work conservation.
+    def validate(self, graph: TaskGraph | None = None) -> None:
+        """Feasibility (:mod:`repro.sim.feasibility`) + work conservation.
 
         * capacity: never more than ``P`` processors busy (sliver-tolerant);
         * precedence (with ``graph``): a task's first segment starts no
@@ -132,36 +119,21 @@ class MalleableSchedule:
         * work conservation (with ``graph``): each task's summed progress
           ``sum(duration / t(procs))`` equals 1.
         """
-        breakpoints, usage = self.utilization_profile()
-        if usage.size and int(usage.max()) > self.P:
-            tol = rtol * max(1.0, self.makespan())
-            durations = np.diff(breakpoints)
-            bad = (usage > self.P) & (durations > tol)
-            if bad.any():
-                idx = int(np.argmax(bad))
-                raise CapacityExceededError(
-                    f"{int(usage[idx])} processors busy in "
-                    f"[{breakpoints[idx]:.6g}, {breakpoints[idx + 1]:.6g}), P={self.P}"
-                )
+        feasibility.check_capacity(list(self), ((0.0, self.P),), self.P)
         if graph is None:
             return
-        tol = rtol * max(1.0, self.makespan())
-        missing = [t for t in graph if t not in self._segments]
-        if missing:
-            raise ScheduleError(f"tasks never scheduled: {missing[:10]!r}")
-        for task_id in graph:
-            first = self.start(task_id)
-            for pred in graph.predecessors(task_id):
-                if first < self.end(pred) - tol:
-                    raise PrecedenceViolationError(
-                        f"task {task_id!r} starts at {first:.6g} before "
-                        f"predecessor {pred!r} ends at {self.end(pred):.6g}"
-                    )
+        hulls = {  # each task from its first start to its completion
+            t: TaskSegment(t, segs[0].start, segs[-1].end, segs[0].procs)
+            for t, segs in self._segments.items()
+        }
+        feasibility.check_precedence(graph, hulls, self.makespan())
         for task_id in graph:
             model = graph.task(task_id).model
             progress = sum(
                 s.duration / model.time(s.procs) for s in self._segments[task_id]
             )
+            # Looser than the time slack: progress sums one float ratio per
+            # segment, and the rounding of many segments accumulates.
             if abs(progress - 1.0) > 1e-6:
                 raise ScheduleError(
                     f"task {task_id!r}: total progress {progress:.6g} != 1"

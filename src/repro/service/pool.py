@@ -27,10 +27,11 @@ Faults reuse the resilient engine's machinery: processors have
 identities, a failure kills the victim attempt and shrinks the live
 capacity, retries back off in virtual time, and queued allocations are
 re-capped when the live capacity changes.  An embedded
-:class:`~repro.sim.invariants.InvariantChecker` cross-checks every
-transition, and :meth:`SharedPool.check_conservation` verifies processor
-conservation (free + down + owned = P, pairwise disjoint) after every
-mutation.
+:class:`~repro.sim.feasibility.InvariantChecker` cross-checks every
+transition (task identities are scoped to a session: a tenant's tasks are
+forgotten when its run finishes or is cancelled), and
+:meth:`SharedPool.check_conservation` verifies processor conservation
+(free + down + owned = P, pairwise disjoint) after every mutation.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.obs.events import (
 )
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.sim.allocation import Allocation, Allocator
-from repro.sim.invariants import InvariantChecker
+from repro.sim.feasibility import InvariantChecker
 from repro.speedup.base import SpeedupModel
 
 __all__ = ["SharedPool", "PoolTask", "TenantRun", "Notification", "PoolStats"]
@@ -105,6 +106,8 @@ class PoolTask:
     procs: int = 0
     #: Processor ids of the running attempt (empty when not running).
     proc_ids: tuple[int, ...] = ()
+    #: Due time of the pending retry (``-1`` when none is pending).
+    retry_at: float = -1.0
 
 
 @dataclass
@@ -228,11 +231,11 @@ class SharedPool:
             attempt=task.attempt, cap_at_alloc=cap,
         )
         self.queue.append(entry)
-        key = self._key(run.tenant, task.task_id)
-        if task.attempt == 1:
+        if task.attempt == 1:  # a retry re-queues, it reveals nothing new
+            key = self._key(run.tenant, task.task_id)
             self.checker.on_reveal(self.now, key)
-        if self.emit is not None:
-            self.emit(TaskRevealed(self.now, key))
+            if self.emit is not None:
+                self.emit(TaskRevealed(self.now, key))
 
     # ------------------------------------------------------------------
     # Mutations (called by ServiceCore in journal order)
@@ -304,9 +307,14 @@ class SharedPool:
             raise ServiceError(f"tenant {tenant!r} is not open")
         run.status = "closed"
         if run.is_drained():
-            run.status = "finished"
+            self._finish(run, "finished")
             return [(tenant, self._graph_done_payload(run))]
         return []
+
+    def _finish(self, run: TenantRun, status: str) -> None:
+        """End a tenant's run; its task ids become free for a later session."""
+        run.status = status
+        self.checker.forget(self._key(run.tenant, t) for t in run.tasks)
 
     def _graph_done_payload(self, run: TenantRun) -> dict[str, object]:
         makespan = (
@@ -346,7 +354,7 @@ class SharedPool:
                 run.running_procs -= task.procs
             elif task.state in ("blocked", "killed"):
                 task.state = "cancelled"
-        run.status = "cancelled"
+        self._finish(run, "cancelled")
         run.reason = reason
         run.inflight = 0
         run.running_procs = 0
@@ -403,26 +411,23 @@ class SharedPool:
         while self.events and processed < max_events:
             self.now = self.events[0][0]
             revealed: list[tuple[TenantRun, PoolTask]] = []
-            retries: list[tuple[str, str, int]] = []
+            retries: list[tuple[TenantRun, PoolTask]] = []
             while self.events and self.events[0][0] == self.now:
                 _, _, kind, tenant, task_id, attempt = heapq.heappop(self.events)
                 processed += 1
                 run = self.tenants[tenant]
                 task = run.tasks.get(task_id)
-                if task is None or not run.active:
-                    continue  # tenant cancelled after the event was queued
+                if task is None or not run.active or task.attempt != attempt:
+                    continue  # tenant cancelled, or the attempt was killed
+                # An event acts only if it is due now: one left by an earlier
+                # session of a re-admitted tenant that reused the id is stale.
                 if kind == "retry":
-                    if task.state == "killed" and task.attempt == attempt:
-                        retries.append((tenant, task_id, attempt))
-                    continue
-                if task.state != "running" or task.attempt != attempt:
-                    continue  # stale completion (attempt was killed)
-                notes.extend(self._complete(run, task, revealed))
-            for tenant, task_id, _attempt in retries:
-                run = self.tenants[tenant]
-                task = run.tasks[task_id]
-                self._reveal(run, task)
-            for run, task in revealed:
+                    if task.state == "killed" and task.retry_at == self.now:
+                        task.retry_at = -1.0  # a twin stale event finds none due
+                        retries.append((run, task))
+                elif task.state == "running" and task.end == self.now:
+                    notes.extend(self._complete(run, task, revealed))
+            for run, task in retries + revealed:
                 self._reveal(run, task)
             self._scan()
             notes.extend(self._check_deadlines())
@@ -471,7 +476,7 @@ class SharedPool:
             if not succ.waiting_on:
                 revealed.append((run, succ))
         if run.is_drained():
-            run.status = "finished"
+            self._finish(run, "finished")
             notes.append((run.tenant, self._graph_done_payload(run)))
         return notes
 
@@ -510,9 +515,10 @@ class SharedPool:
         if self.emit is not None:
             self.emit(RetryScheduled(self.now, key, next_attempt, delay))
         if delay > 0:
+            task.retry_at = self.now + delay
             heapq.heappush(
                 self.events,
-                (self.now + delay, next(self._seq), "retry", tenant, task_id, next_attempt),
+                (task.retry_at, next(self._seq), "retry", tenant, task_id, next_attempt),
             )
         else:
             self._reveal(run, task)
@@ -606,7 +612,7 @@ class SharedPool:
         run.running_procs += procs
         self.stats.started += 1
         key = self._key(run.tenant, task.task_id)
-        self.checker.on_start(self.now, key, procs)
+        self.checker.on_start(self.now, key, procs, task.attempt)
         if self.emit is not None:
             self.emit(TaskStarted(self.now, key, procs, task.end, task.attempt))
         heapq.heappush(

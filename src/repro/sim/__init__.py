@@ -20,7 +20,7 @@ from repro.sim.engine import (
     profile_engine,
 )
 from repro.sim.intervals import IntervalDecomposition, decompose_intervals
-from repro.sim.invariants import InvariantChecker, validate_result
+from repro.sim.feasibility import InvariantChecker, validate_result
 
 __all__ = [
     "Allocation",

@@ -75,6 +75,7 @@ from repro.obs.metrics import MetricsRegistry, active_metrics, collect_metrics
 from repro.sim.allocation import Allocation, AllocationCacheInfo, Allocator
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
+from repro.sim.feasibility import InvariantChecker
 from repro.sim.schedule import Schedule, ScheduledTask
 from repro.sim.sources import (
     GraphSource,
@@ -471,7 +472,7 @@ class ListScheduler:
             killed attempts (default: unlimited immediate restarts).  Only
             meaningful together with ``faults``.
         check_invariants:
-            Run the :class:`~repro.sim.invariants.InvariantChecker` after
+            Run the :class:`~repro.sim.feasibility.InvariantChecker` after
             every engine event.  Defaults to ``True`` for fault-injected
             runs and ``False`` (zero overhead) for fault-free ones.
         tracer:
@@ -502,11 +503,7 @@ class ListScheduler:
     def _run_plain(
         self, source: GraphSource, check_invariants: bool, emit: _Emit | None = None
     ) -> SimulationResult:
-        checker = None
-        if check_invariants:
-            from repro.sim.invariants import InvariantChecker
-
-            checker = InvariantChecker(self.P)
+        checker = InvariantChecker(self.P) if check_invariants else None
 
         # The loop runs in integer slot space: the view numbers tasks
         # (insertion order for static graphs, reveal order otherwise) and
@@ -868,11 +865,7 @@ class ListScheduler:
         if retry is None:
             retry = RetryPolicy()
         timeline = faults.timeline(self.P) if faults is not None else FaultTimeline(())
-        checker = None
-        if check_invariants:
-            from repro.sim.invariants import InvariantChecker
-
-            checker = InvariantChecker(self.P)
+        checker = InvariantChecker(self.P) if check_invariants else None
 
         schedule = Schedule(self.P)
         allocations: dict[TaskId, Allocation] = {}
@@ -1035,7 +1028,7 @@ class ListScheduler:
                         model,
                     )
                     if checker is not None:
-                        checker.on_start(now, waiting.task.id, procs)
+                        checker.on_start(now, waiting.task.id, procs, waiting.attempt)
                     if emit is not None:
                         emit(TaskStarted(now, waiting.task.id, procs, end, waiting.attempt))
                     heapq.heappush(

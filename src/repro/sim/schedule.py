@@ -5,7 +5,8 @@ judged on: it records, for each task, its start time, completion time, and
 (fixed, moldable) processor allocation.  :meth:`Schedule.validate` checks
 the three feasibility conditions of the problem statement — bounded
 capacity at every instant, precedence constraints, and non-preemptive
-execution (each task appears exactly once with one allocation).
+execution (each task appears exactly once with one allocation), with the
+rules of :mod:`repro.sim.feasibility`.
 """
 
 from __future__ import annotations
@@ -14,12 +15,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.exceptions import (
-    CapacityExceededError,
-    PrecedenceViolationError,
-    ScheduleError,
-)
+from repro.exceptions import CapacityExceededError, ScheduleError
 from repro.graph.taskgraph import TaskGraph
+from repro.sim import feasibility
 from repro.types import TaskId, Time
 from repro.util.validation import check_positive_int
 
@@ -159,16 +157,7 @@ class Schedule:
         in the half-open interval ``[breakpoints[i], breakpoints[i+1])``
         (length ``k``).  Tasks of zero duration contribute nothing.
         """
-        if not self._entries:
-            return np.array([0.0]), np.array([], dtype=np.int64)
-        points = sorted({e.start for e in self._entries} | {e.end for e in self._entries})
-        breakpoints = np.asarray(points, dtype=float)
-        usage = np.zeros(len(points) - 1, dtype=np.int64)
-        starts = np.searchsorted(breakpoints, [e.start for e in self._entries])
-        ends = np.searchsorted(breakpoints, [e.end for e in self._entries])
-        for entry, i0, i1 in zip(self._entries, starts, ends, strict=True):
-            usage[i0:i1] += entry.procs
-        return breakpoints, usage
+        return feasibility.busy_profile(self._entries)
 
     def peak_utilization(self) -> int:
         """Maximum number of simultaneously busy processors."""
@@ -179,61 +168,22 @@ class Schedule:
     # Validation
     # ------------------------------------------------------------------
     def validate(
-        self,
-        graph: TaskGraph | None = None,
-        *,
-        rtol: float = 1e-9,
-        check_durations: bool = True,
+        self, graph: TaskGraph | None = None, *, check_durations: bool = True
     ) -> None:
         """Check schedule feasibility; raise a :class:`ScheduleError` subclass.
 
-        * Capacity: at every instant at most ``P`` processors are busy.
-        * Precedence (if ``graph`` given): every task of the graph appears
-          exactly once and starts no earlier than all its predecessors'
-          completions (tolerance ``rtol`` relative to the makespan).
-        * Durations (if ``graph`` given and ``check_durations``): each
-          task's recorded duration equals its model's time at the recorded
-          allocation.
+        Applies the rules of :mod:`repro.sim.feasibility`: at most ``P``
+        processors busy at every instant; given ``graph``, every task of
+        the graph appears exactly once and starts no earlier than its
+        predecessors' completions, and (with ``check_durations``) each
+        task's duration equals its model's time at its allocation.
         """
-        breakpoints, usage = self.utilization_profile()
-        if usage.size and int(usage.max()) > self.P:
-            # Ignore slivers shorter than the tolerance: consecutive floats
-            # like t0 + b*w + w vs t0 + (b+1)*w differ by a few ulp and can
-            # momentarily "overlap" without any physical double-booking.
-            tol = rtol * max(1.0, self.makespan())
-            durations = np.diff(breakpoints)
-            bad = (usage > self.P) & (durations > tol)
-            if bad.any():
-                idx = int(np.argmax(bad))
-                raise CapacityExceededError(
-                    f"{int(usage[idx])} processors busy in "
-                    f"[{breakpoints[idx]:.6g}, {breakpoints[idx + 1]:.6g}), P={self.P}"
-                )
+        feasibility.check_capacity(self._entries, ((0.0, self.P),), self.P)
         if graph is None:
             return
-        tol = rtol * max(1.0, self.makespan())
-        missing = [t for t in graph if t not in self._by_task]
-        if missing:
-            raise ScheduleError(f"tasks never scheduled: {missing[:10]!r}")
-        extra = [t for t in self._by_task if t not in graph]
-        if extra:
-            raise ScheduleError(f"scheduled tasks not in graph: {extra[:10]!r}")
-        for task_id in graph:
-            entry = self._by_task[task_id]
-            for pred in graph.predecessors(task_id):
-                pred_end = self._by_task[pred].end
-                if entry.start < pred_end - tol:
-                    raise PrecedenceViolationError(
-                        f"task {task_id!r} starts at {entry.start:.6g} before "
-                        f"predecessor {pred!r} ends at {pred_end:.6g}"
-                    )
-            if check_durations:
-                expected = graph.task(task_id).model.time(entry.procs)
-                if abs(entry.duration - expected) > rtol * max(1.0, expected):
-                    raise ScheduleError(
-                        f"task {task_id!r}: duration {entry.duration:.6g} does not "
-                        f"match model time {expected:.6g} on {entry.procs} procs"
-                    )
+        feasibility.check_precedence(graph, self._by_task, self.makespan())
+        if check_durations:
+            feasibility.check_durations(graph, self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Schedule(P={self.P}, tasks={len(self)}, makespan={self.makespan():.6g})"

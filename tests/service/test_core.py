@@ -11,10 +11,13 @@ from repro.exceptions import (
     SessionClosed,
 )
 from repro.graph.io import model_from_dict, model_to_dict
+from repro.obs.events import MultiTracer
+from repro.obs.metrics import MetricsTracer
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.core import ServiceCore
 from repro.service.journal import read_journal
 from repro.service.protocol import Hello, Submit
+from repro.sim import InvariantChecker
 from repro.speedup import (
     AmdahlModel,
     CommunicationModel,
@@ -232,6 +235,95 @@ class TestJournalDiscipline:
         recovered.close_journal()
         second = ServiceCore.recover(journal, reopen=False)
         assert second.state_digest() == digest
+
+
+class TestSessionScope:
+    def test_second_session_reuses_task_ids_and_recovers(self, tmp_path):
+        # Task identities are scoped to a session: a tenant re-admitted
+        # after its run finished may submit the same ids again, and the
+        # journal replays both sessions.
+        journal = tmp_path / "wal.jsonl"
+        core = ServiceCore(ServiceConfig(P=4, family="amdahl"), journal_path=journal)
+        for _ in range(2):
+            core.hello(Hello(tenant="t"))
+            core.submit("t", Submit(task="a", model=AmdahlModel(8.0, 1.0)))
+            core.close("t")
+            core.drain()
+            assert core.pool.tenants["t"].status == "finished"
+        digest = core.state_digest()
+        core.close_journal()
+        recovered = ServiceCore.recover(journal, reopen=False)
+        assert recovered.state_digest() == digest
+
+    def reuse_after_cancel(self, tmp_path, *, kill):
+        # Tenant "t" is cancelled while its task "a" runs (or waits to be
+        # retried), re-admitted later and submits "a" again.  The first
+        # session's events stay on the heap; none of them may act on the
+        # new "a".
+        journal = tmp_path / "wal.jsonl"
+        core = ServiceCore(
+            ServiceConfig(P=8, family="amdahl", fault_backoff=1.0), journal_path=journal
+        )
+        pool = core.pool
+
+        def kill_a():
+            proc = pool.tenants["t"].tasks["a"].proc_ids[0]
+            core.fault("fail", proc)
+            core.fault("recover", proc)
+
+        core.hello(Hello(tenant="u"))
+        core.submit("u", Submit(task="x", model=AmdahlModel(0.2, 0.2)))
+        core.hello(Hello(tenant="t"))
+        core.submit("t", Submit(task="a", model=AmdahlModel(8.0, 1.0)))
+        if kill:
+            kill_a()
+        core.cancel("t")
+        core.tick(1)  # u's task completes: time moves on
+        readmitted = pool.now
+        assert readmitted > 0.0
+        core.hello(Hello(tenant="t"))
+        core.submit("t", Submit(task="a", model=AmdahlModel(8.0, 1.0)))
+        if kill:
+            kill_a()
+        core.close("t")
+        core.close("u")
+        core.drain()
+        task = pool.tenants["t"].tasks["a"]
+        digest = core.state_digest()
+        core.close_journal()
+        assert ServiceCore.recover(journal, reopen=False).state_digest() == digest
+        return readmitted, task
+
+    def test_stale_completion_of_earlier_session_is_ignored(self, tmp_path):
+        readmitted, task = self.reuse_after_cancel(tmp_path, kill=False)
+        assert task.state == "done" and task.start == readmitted
+        assert task.end == task.start + task.model.time(task.procs)
+
+    def test_stale_retry_of_earlier_session_is_ignored(self, tmp_path):
+        readmitted, task = self.reuse_after_cancel(tmp_path, kill=True)
+        assert task.state == "done" and task.attempt == 2
+        assert task.start == readmitted + 1.0  # killed on re-admission, backoff 1.0
+        assert task.end == task.start + task.model.time(task.procs)
+
+    def test_traced_faulted_run_passes_the_checker(self):
+        checker = InvariantChecker(4)
+        metrics = MetricsTracer()
+        tracer = MultiTracer(checker, metrics)
+        core = ServiceCore(
+            ServiceConfig(P=4, family="amdahl", fault_backoff=0.5), emit=tracer.emit
+        )
+        core.hello(Hello(tenant="t"))
+        core.submit("t", Submit(task="a", model=AmdahlModel(8.0, 1.0)))
+        core.submit("t", Submit(task="b", model=AmdahlModel(4.0, 1.0), deps=("a",)))
+        victim = next(iter(core.pool.proc_owner))
+        core.fault("fail", victim)
+        core.fault("recover", victim)
+        core.close("t")
+        core.drain()
+        checker.on_end(core.pool.now)
+        assert core.pool.tenants["t"].tasks["a"].attempt == 2
+        assert metrics.registry.counter("tasks.revealed").value == 2
+        assert metrics.registry.counter("tasks.killed").value == 1
 
 
 class TestStatus:

@@ -265,3 +265,29 @@ class TestVectorizedCapacityReplay:
         else:
             with pytest.raises(InvariantViolationError, match=re.escape(expected)):
                 validate_result(result)
+
+
+class TestAttemptLogHoles:
+    def test_schedule_entry_without_completed_attempt_rejected(self):
+        # b is in the schedule but not in the attempt log: on P=4 the two
+        # 3-processor entries overlap, which Schedule.validate rejects.
+        schedule = Schedule(4)
+        schedule.add("a", 0.0, 10.0, 3)
+        schedule.add("b", 0.0, 10.0, 3)
+        attempts = [AttemptRecord("a", 1, 0.0, 10.0, 3, True)]
+        with pytest.raises(InvariantViolationError, match="no completed attempt"):
+            validate_result(_result_with(attempts, [(0.0, 4)], schedule=schedule))
+
+    def test_attempts_out_of_start_order_rejected(self):
+        attempts = [
+            AttemptRecord("a", 3, 0.0, 1.0, 1, False),
+            AttemptRecord("a", 1, 2.0, 3.0, 1, False),
+            AttemptRecord("a", 2, 4.0, 5.0, 1, True),
+        ]
+        with pytest.raises(InvariantViolationError, match="not numbered"):
+            validate_result(_result_with(attempts, [(0.0, 4)]))
+
+    def test_killed_attempt_never_retried_rejected(self):
+        attempts = [AttemptRecord("a", 1, 0.0, 1.0, 1, False)]
+        with pytest.raises(InvariantViolationError, match="never retried"):
+            validate_result(_result_with(attempts, [(0.0, 4)]))
