@@ -14,10 +14,10 @@ At time 0 and at every task completion the engine
 4. scans the queue in order, starting every task that fits in the free
    processors (list scheduling, lines 7-11 of Algorithm 1).
 
-The fault-free loop implements this with a *provably transparent* fast
-path (see ``docs/performance.md``).  It runs in integer slot space: a
-slot view (:func:`~repro.sim.sources.slot_view`) numbers the tasks and
-groups them by model object, from arrays compiled once per graph version
+One loop implements this with a *provably transparent* fast path (see
+``docs/performance.md``).  It runs in integer slot space: a slot view
+(:func:`~repro.sim.sources.slot_view`) numbers the tasks and groups them
+by model object, from arrays compiled once per graph version
 (:meth:`~repro.graph.taskgraph.TaskGraph.compiled`) for static graphs.
 Each model group is resolved once per run into an (allocation, duration)
 pair, through the allocator's memoizing entry point
@@ -32,14 +32,20 @@ full-rescan loop; :class:`EngineStats` (attached to every
 events, scans, scan steps, and allocator cache traffic (a reveal-table
 hit counts as the cache hit it replaces) to prove it cheaply.
 
-Beyond the paper's fault-free platform, :meth:`ListScheduler.run` also
-supports *processor faults* (``faults=``): a fault model
-(:mod:`repro.resilience.faults`) emits timed fail/recover events for
-individual processors, a failure kills the attempt running on the victim
-processor, and the task is re-enqueued under a retry policy
-(:mod:`repro.resilience.retry`).  The allocator is re-consulted with the
-*live* capacity :math:`P_t`, so the paper's :math:`\\lceil\\mu P\\rceil`
-cap tracks the shrinking (and recovering) platform.
+Beyond the paper's fault-free platform, the same loop runs *processor
+faults* (``faults=``): a fault model (:mod:`repro.resilience.faults`)
+emits a timeline of fail/recover events for individual processors, a
+failure kills the attempt running on the victim processor, and the task
+is re-queued under a retry policy (:mod:`repro.resilience.retry`), at
+once or from a backoff heap read like timed releases.  The allocator is
+re-consulted with the *live* capacity :math:`P_t`, so the paper's
+:math:`\\lceil\\mu P\\rceil` cap tracks the shrinking (and recovering)
+platform: after a capacity change the next queue pass is exhaustive and
+re-caps, in queue order, every entry allocated for another capacity.  A
+fault-free run is the same loop with an empty timeline and schedules
+exactly like a run given an empty trace; a fault run (``faults`` or
+``retry`` given) also packs attempts onto the lowest free processor
+indices and records every attempt and capacity step.
 """
 
 from __future__ import annotations
@@ -49,15 +55,20 @@ import itertools
 import math
 from bisect import insort
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 
 if TYPE_CHECKING:  # layering: sim only duck-types resilience at runtime
-    from repro.resilience.faults import FaultEvent, FaultModel
+    from repro.resilience.faults import FaultModel
     from repro.resilience.retry import RetryPolicy
     from repro.speedup.base import SpeedupModel
 
-from repro.exceptions import ScheduleError, SimulationError, TaskAbortedError
+from repro.exceptions import (
+    InvalidParameterError,
+    ScheduleError,
+    SimulationError,
+    TaskAbortedError,
+)
 from repro.obs.events import (
     AllocationDecided,
     CapacityChanged,
@@ -324,24 +335,15 @@ class SimulationResult:
         return min(capacity for _, capacity in self.capacity_timeline)
 
 
-@dataclass(frozen=True)
-class _Waiting:
-    """A revealed task waiting in the queue with its fixed allocation."""
-
-    task: Task
-    allocation: Allocation
-    seq: int
-    #: 1-based attempt number (> 1 after processor-fault retries).
-    attempt: int = 1
-    #: Model override for checkpointed retries (``None`` -> ``task.model``).
-    model: SpeedupModel | None = None
-    #: Live capacity the allocation was computed against; the resilient
-    #: loop re-allocates when the capacity has changed since.
-    cap_at_alloc: int = -1
-
-    @property
-    def effective_model(self) -> SpeedupModel:
-        return self.model if self.model is not None else self.task.model
+#: Waiting-queue entry: ``(sort_key, slot, procs, duration, allocation,
+#: queued_at, cap)``.  ``sort_key`` is ``None`` under FIFO and
+#: ``(priority, seq)`` under a priority rule; ``procs`` is
+#: ``allocation.final``, ``duration`` the attempt's time on it, ``queued_at``
+#: the reveal (or re-allocation) instant and ``cap`` the live capacity the
+#: allocation was made for.
+_Entry = tuple[object, int, int, Time, Allocation, Time, int]
+#: A started attempt: ``(end, seq, slot, procs, start, allocation)``.
+_Started = tuple[Time, int, int, int, Time, Allocation]
 
 
 def _entry_key(entry: tuple) -> object:
@@ -402,19 +404,6 @@ def _allocation_event(
     )
 
 
-@dataclass
-class _Running:
-    """A started attempt occupying concrete processor indices."""
-
-    task: Task
-    alloc: Allocation
-    proc_ids: tuple[int, ...]
-    start: Time
-    end: Time
-    attempt: int
-    model: object  # residual model under checkpoint retries
-
-
 class ListScheduler:
     """Online list scheduler over ``P`` processors (Algorithm 1).
 
@@ -470,7 +459,9 @@ class ListScheduler:
         retry:
             Optional :class:`~repro.resilience.retry.RetryPolicy` governing
             killed attempts (default: unlimited immediate restarts).  Only
-            meaningful together with ``faults``.
+            meaningful together with ``faults``; either one makes this a
+            fault run, which logs every attempt and capacity step and lists
+            its schedule in completion order.
         check_invariants:
             Run the :class:`~repro.sim.feasibility.InvariantChecker` after
             every engine event.  Defaults to ``True`` for fault-injected
@@ -491,19 +482,37 @@ class ListScheduler:
         emit: _Emit | None = None
         if tracer is not None and tracer.enabled:
             emit = tracer.emit
-        if faults is not None or retry is not None:
-            if check_invariants is None:
-                check_invariants = True
-            return self._run_resilient(source, faults, retry, check_invariants, emit)
-        return self._run_plain(source, bool(check_invariants), emit)
+        return self._run_plain(source, faults, retry, check_invariants, emit)
 
     # ------------------------------------------------------------------
-    # Fault-free fast path (the paper's setting)
+    # The loop of Algorithm 1; a fault-free run has an empty fault timeline
     # ------------------------------------------------------------------
     def _run_plain(
-        self, source: GraphSource, check_invariants: bool, emit: _Emit | None = None
+        self,
+        source: GraphSource,
+        faults: FaultModel | None,
+        retry: RetryPolicy | None,
+        check_invariants: bool | None,
+        emit: _Emit | None = None,
     ) -> SimulationResult:
-        checker = InvariantChecker(self.P) if check_invariants else None
+        P = self.P
+        # A fault run (``faults`` or ``retry`` given) packs each attempt
+        # onto the lowest free processor indices, records every attempt,
+        # and lists its schedule in completion order.  A fault-free run
+        # keeps only the free counter and lists its schedule in start order.
+        tracking = faults is not None or retry is not None
+        if check_invariants is None:
+            check_invariants = tracking
+        checker = InvariantChecker(P) if check_invariants else None
+        if tracking:
+            # Lazy imports keep sim/ below resilience/ in the layering: the
+            # engine only duck-types fault models.  ``timeline`` and
+            # ``policy`` exist in fault runs only.
+            from repro.resilience.faults import FaultTimeline
+            from repro.resilience.retry import RetryPolicy
+
+            timeline = faults.timeline(P) if faults is not None else FaultTimeline(())
+            policy = retry if retry is not None else RetryPolicy()
 
         # The loop runs in integer slot space: the view numbers tasks
         # (insertion order for static graphs, reveal order otherwise) and
@@ -512,26 +521,20 @@ class ListScheduler:
         tasks = view.tasks
         groups = view.groups
         resolved = view.resolved
-        # Queue entries are bare ``(sort_key, slot, procs, duration,
-        # allocation, revealed_at)`` tuples: the fault-free path never
-        # retries or re-allocates.  ``sort_key`` is ``None`` under FIFO and
-        # ``(priority, seq)`` under a priority rule; ``procs`` is
-        # ``allocation.final`` and ``duration`` the task's time on it.
-        queue: list[tuple[object, int, int, Time, Allocation, Time]] = []
-        # Every queue entry in reveal order, and one event per start in
-        # start order: ``(end, seq, slot, procs, start, allocation)``.  The
-        # completion heap holds the same tuples; ``seq`` is unique, so heap
-        # comparisons never look past it.  The Schedule, ``allocations``
-        # and ``revealed_at`` are built from these once the loop is done.
-        revealed_log: list[tuple[object, int, int, Time, Allocation, Time]] = []
-        started: list[tuple[Time, int, int, int, Time, Allocation]] = []
-        events: list[tuple[Time, int, int, int, Time, Allocation]] = []
+        queue: list[_Entry] = []
+        # Every first-attempt queue entry in reveal order, and every start
+        # in start order.  The completion heap holds the same start tuples;
+        # ``seq`` is unique, so heap comparisons never look past it.  The
+        # Schedule, ``allocations`` and ``revealed_at`` are built from these
+        # once the loop is done.
+        revealed_log: list[_Entry] = []
+        started: list[_Started] = []
+        events: list[_Started] = []
         seq = itertools.count()
-        free = self.P
+        free = capacity = P
         now: Time = 0.0
         # EngineStats counters, kept in locals until the run is over.
-        n_events = queue_scans = scans_skipped = scan_steps = 0
-        P = self.P
+        n_events = queue_scans = scans_skipped = scan_steps = n_reallocs = 0
         priority = self.priority
         # Lower bound on the smallest processor demand among waiting tasks
         # (inf for an empty queue).  The bound lets the engine *prove* a
@@ -539,7 +542,33 @@ class ListScheduler:
         # passes once the free count drops below it; it is exact after any
         # pass that examined the whole queue and merely conservative (never
         # unsound) otherwise, so schedules are identical to full rescans.
+        # A capacity change resets it to 0: the next pass re-caps the queue
+        # and must see every entry.
         min_demand: float = math.inf
+
+        # Fault state, touched by fault runs only.  ``t_fault`` is the next
+        # timeline instant (inf when none is left).
+        t_fault: float = math.inf
+        if tracking and (t := timeline.peek()) is not None:
+            t_fault = t
+        down: set[int] = set()
+        free_ids: set[int] = set(range(P)) if tracking else set()
+        # Running attempts: processor -> its start tuple, seq -> processors.
+        # A killed attempt leaves ``running``; its completion stays on the
+        # heap and is skipped.
+        owner: dict[int, _Started] = {}
+        running: dict[int, tuple[int, ...]] = {}
+        # slot -> (attempt, model) of a retried task's current attempt
+        # (absent: attempt 1 on ``task.model``); residual models carry
+        # checkpointed work.
+        retries: dict[int, tuple[int, SpeedupModel]] = {}
+        # Backoff heap of ``(due, seq, slot)``, read like timed releases.
+        delayed: list[tuple[Time, int, int]] = []
+        # slot -> latest allocation, for tasks re-allocated after reveal.
+        realloc: dict[int, Allocation] = {}
+        finished: list[_Started] = []
+        attempt_log: list[AttemptRecord] = []
+        capacity_log: list[tuple[Time, int]] = [(0.0, P)] if tracking else []
 
         # Task-aware allocators (e.g. fixed per-task allotments) expose
         # `allocate_task`; plain allocators only see the speedup model
@@ -556,7 +585,7 @@ class ListScheduler:
         # with equal keys share one allocator consultation.  Equal keys
         # mean the same time function (the cache_key contract), so the
         # table is transparent.  It is off exactly where the LRU would be
-        # bypassed for every task.
+        # bypassed for every task, and it holds decisions at P only.
         keyed: dict[object, Resolved] = {}
         use_table = callable(allocate_keyed) and not (
             use_task_alloc
@@ -572,12 +601,47 @@ class ListScheduler:
         # observes them (the invariant checker or a tracer).
         observed = checker is not None or emit is not None
 
+        def consult(
+            slot: int, model: SpeedupModel, cap: int, key: object
+        ) -> tuple[Resolved, str]:
+            """One allocator call at live capacity ``cap``, with its cache outcome.
+
+            ``key`` is ``model.cache_key()`` when the reveal table is on.
+            """
+            # Tracing reads the cache counters around the call to classify
+            # it (hit/miss/bypass); pure observation, the allocation itself
+            # is untouched.
+            info_before = cache_info() if emit is not None and cache_info0 is not None else None
+            if use_table:
+                alloc = allocate_keyed(model, key, cap, free)
+            elif use_task_alloc:
+                alloc = allocate_task(tasks[slot], cap, free=free)
+            else:
+                alloc = allocate_model(model, cap, free=free)
+            final = alloc.final
+            if not 1 <= final <= cap:
+                raise SimulationError(
+                    f"allocator returned infeasible allocation {alloc} for task "
+                    f"{tasks[slot].id!r} on live capacity P_t={cap}"
+                )
+            res = (alloc, final, model.time(final))
+            if info_before is None:
+                return res, "unknown"
+            return res, _cache_status(info_before, cache_info())
+
         def admit(slots: list[int]) -> None:
             nonlocal min_demand
+            res: Resolved | None
             for slot in slots:
-                group = groups[slot]
-                res = resolved[group]
-                if res is not None:
+                if capacity != P:
+                    # The table holds decisions at P: below it, consult the
+                    # allocator at the live P_t (1 while the whole platform
+                    # is down; the entry is re-capped on recovery).
+                    model = tasks[slot].model
+                    res, cache = consult(
+                        slot, model, max(capacity, 1), model.cache_key() if use_table else None
+                    )
+                elif (res := resolved[groups[slot]]) is not None:
                     # A table hit is the LRU hit it replaces: cache_info()
                     # and EngineStats count it as one.
                     allocator._cache_hits += 1
@@ -599,34 +663,11 @@ class ListScheduler:
                         allocator._cache_hits += 1
                         cache = "hit"
                     else:
-                        # Tracing reads the cache counters around the call
-                        # to classify it (hit/miss/bypass); pure
-                        # observation, the allocation itself is untouched.
-                        info_before = (
-                            cache_info() if emit is not None and cache_info0 is not None else None
-                        )
-                        if use_table:
-                            alloc = allocate_keyed(model, key, P, free)
-                        elif use_task_alloc:
-                            alloc = allocate_task(tasks[slot], P, free=free)
-                        else:
-                            alloc = allocate_model(model, P, free=free)
-                        final = alloc.final
-                        if not 1 <= final <= P:
-                            raise SimulationError(
-                                f"allocator returned infeasible allocation {alloc} "
-                                f"for task {tasks[slot].id!r} on P={P}"
-                            )
-                        res = (alloc, final, model.time(final))
+                        res, cache = consult(slot, model, P, key)
                         if key is not None:
                             keyed[key] = res
-                        cache = (
-                            "unknown"
-                            if info_before is None
-                            else _cache_status(info_before, cache_info())
-                        )
                     if key is not None:
-                        resolved[group] = res
+                        resolved[groups[slot]] = res
                 alloc, final, duration = res
                 if observed:
                     observe_reveal(slot, alloc, cache)
@@ -637,13 +678,14 @@ class ListScheduler:
                     # enter the event heap, and the heap's tie-break only
                     # needs event seqs to be strictly increasing (which
                     # they remain), so the schedule is unchanged.
-                    entry = (None, slot, final, duration, alloc, now)
+                    entry = (None, slot, final, duration, alloc, now, capacity)
                     queue.append(entry)
                 else:
-                    # Sorted insertion replaces the former per-admit full
-                    # sort: allocations and priorities are immutable here,
-                    # so inserting by the precomputed (priority, seq) key
-                    # reproduces repeated stable sorts exactly.
+                    # Sorted insertion replaces per-admit full sorts:
+                    # allocations and priorities only move in a re-cap
+                    # pass, which re-sorts, so inserting by the precomputed
+                    # (priority, seq) key reproduces repeated stable sorts
+                    # exactly.
                     entry = (
                         (priority(tasks[slot], alloc), next(seq)),
                         slot,
@@ -651,9 +693,51 @@ class ListScheduler:
                         duration,
                         alloc,
                         now,
+                        capacity,
                     )
                     insort(queue, entry, key=_entry_key)
                 revealed_log.append(entry)
+
+        def reallocate(slot: int, order: object) -> _Entry:
+            """Queue entry of a queued or retried task, allocated at the live capacity.
+
+            ``order`` is the entry's seq under a priority rule (its priority
+            is recomputed for the new allocation) and ``None`` under FIFO.
+            """
+            nonlocal n_reallocs
+            n_reallocs += 1
+            attempt, model = retries.get(slot, (1, tasks[slot].model))
+            cap = max(capacity, 1)  # provisional while the whole platform is down
+            (alloc, final, duration), cache = consult(
+                slot, model, cap, model.cache_key() if use_table else None
+            )
+            realloc[slot] = alloc
+            if emit is not None:
+                emit(
+                    _allocation_event(
+                        allocator,
+                        None if use_task_alloc else model,
+                        alloc,
+                        cap,
+                        now,
+                        tasks[slot].id,
+                        cache,
+                        attempt,
+                    )
+                )
+            key = None if priority is None else (priority(tasks[slot], alloc), order)
+            return (key, slot, final, duration, alloc, now, capacity)
+
+        def requeue(slot: int) -> None:
+            """Queue the next attempt of a killed task."""
+            nonlocal min_demand
+            entry = reallocate(slot, None if priority is None else next(seq))
+            if priority is None:
+                queue.append(entry)
+            else:
+                insort(queue, entry, key=_entry_key)
+            if entry[2] < min_demand:
+                min_demand = entry[2]
 
         def start_fitting() -> None:
             nonlocal free, min_demand, queue_scans, scans_skipped, scan_steps
@@ -663,17 +747,29 @@ class ListScheduler:
                 scans_skipped += 1
                 return
             queue_scans += 1
-            remaining: list[tuple[object, int, int, Time, Allocation, Time]] = []
+            remaining: list[_Entry] = []
             keep = remaining.append
             n = len(queue)
             scanned = n
             new_min: float = math.inf
+            # Only a capacity change sets the bound to 0, and the next pass
+            # is then exhaustive: it re-caps every entry allocated for
+            # another capacity (none while the platform is down).
+            recap = min_demand == 0
+            recapped = False
             for idx in range(n):
                 entry = queue[idx]
+                if recap and entry[6] != capacity and capacity:
+                    # The allocator's ceil(mu * P_t) cap must track P_t, and
+                    # an allocation made for a larger platform may no
+                    # longer fit.
+                    entry = reallocate(entry[1], None if entry[0] is None else entry[0][1])
+                    recapped = True
                 procs = entry[2]
                 if procs <= free:
-                    # ``procs`` passed admit's 1 <= procs <= P check, and the
-                    # platform never shrinks here, so it cannot over-pack.
+                    # ``procs`` passed the 1 <= procs <= P_t check of its
+                    # allocation at the current capacity, so it cannot
+                    # over-pack the live platform.
                     free -= procs
                     end = now + entry[3]
                     if end < now:
@@ -683,6 +779,8 @@ class ListScheduler:
                     event = (end, next(seq), entry[1], procs, now, entry[4])
                     started.append(event)
                     heappush(events, event)
+                    if tracking:
+                        claim(event)
                     if observed:
                         observe_start(event)
                 else:
@@ -702,6 +800,126 @@ class ListScheduler:
             else:
                 queue[:] = remaining
                 min_demand = new_min
+                if recapped and priority is not None:
+                    # New allocations may move their entries' priorities.
+                    queue.sort(key=_entry_key)
+
+        def claim(event: _Started) -> None:
+            """Pack a started attempt onto the lowest free processor indices."""
+            ids = tuple(sorted(free_ids)[: event[3]])
+            free_ids.difference_update(ids)
+            for q in ids:
+                owner[q] = event
+            running[event[1]] = ids
+
+        def finish(event: _Started) -> bool:
+            """Release and record a fault run's completed attempt.
+
+            Returns ``False`` for the stale completion of a killed attempt.
+            """
+            ids = running.pop(event[1], None)
+            if ids is None:
+                return False
+            for q in ids:
+                del owner[q]
+            free_ids.update(ids)
+            finished.append(event)
+            attempt_log.append(
+                AttemptRecord(
+                    tasks[event[2]].id, attempt_of(event[2]), event[4], now, event[3], True, ids
+                )
+            )
+            return True
+
+        def kill(event: _Started, failed_proc: int) -> None:
+            """Kill the attempt running on ``failed_proc`` and schedule its retry."""
+            nonlocal free
+            slot = event[2]
+            task_id = tasks[slot].id
+            ids = running.pop(event[1])
+            for q in ids:
+                del owner[q]
+                if q != failed_proc:
+                    free_ids.add(q)
+                    free += 1
+            attempt, model = retries.get(slot, (1, tasks[slot].model))
+            attempt_log.append(
+                AttemptRecord(task_id, attempt, event[4], now, event[3], False, ids)
+            )
+            if checker is not None:
+                checker.on_kill(now, task_id)
+            if emit is not None:
+                emit(TaskCompleted(now, task_id, event[3], event[4], attempt, False))
+            if not policy.allows(attempt + 1):
+                raise TaskAbortedError(
+                    f"task {task_id!r} killed by a processor failure on attempt "
+                    f"{attempt}/{policy.max_attempts} at t={now:.6g}; retry "
+                    "budget exhausted",
+                    task_id=task_id,
+                    attempts=attempt,
+                )
+            duration = event[0] - event[4]
+            progress = 0.0 if duration <= 0 else (now - event[4]) / duration
+            retries[slot] = (attempt + 1, policy.residual_model(model, min(progress, 1.0)))
+            delay = policy.backoff_delay(attempt)
+            if emit is not None:
+                emit(RetryScheduled(now, task_id, attempt + 1, delay))
+            if delay > 0:
+                heappush(delayed, (now + delay, next(seq), slot))
+            else:
+                requeue(slot)
+
+        def apply_faults() -> None:
+            """Apply every timeline event due by ``now``, in timeline order."""
+            nonlocal capacity, free, min_demand, t_fault
+            while t_fault <= now:
+                fault = timeline.pop()
+                proc = fault.processor
+                if fault.time < now:
+                    raise InvalidParameterError(
+                        f"fault timeline out of time order: {fault!r} is due before t={now:.6g}"
+                    )
+                if not 0 <= proc < P:
+                    raise InvalidParameterError(
+                        f"fault event {fault!r} names a processor outside [0, {P})"
+                    )
+                if emit is not None:
+                    emit(FaultInjected(now, proc, fault.kind))
+                if fault.kind == "fail":
+                    if proc in down:
+                        raise SimulationError(
+                            f"fault trace fails processor {proc} twice (t={now:.6g})"
+                        )
+                    down.add(proc)
+                    capacity -= 1
+                    if proc in free_ids:
+                        free_ids.discard(proc)
+                        free -= 1
+                    else:
+                        kill(owner[proc], proc)
+                else:  # recover
+                    if proc not in down:
+                        raise SimulationError(
+                            f"fault trace recovers processor {proc} while up (t={now:.6g})"
+                        )
+                    down.discard(proc)
+                    capacity += 1
+                    free_ids.add(proc)
+                    free += 1
+                t = timeline.peek()
+                t_fault = math.inf if t is None else t
+            min_demand = 0
+            if capacity_log[-1][0] == now:
+                capacity_log[-1] = (now, capacity)
+            else:
+                capacity_log.append((now, capacity))
+            if checker is not None:
+                checker.on_capacity(now, capacity)
+            if emit is not None:
+                emit(CapacityChanged(now, capacity))
+
+        def attempt_of(slot: int) -> int:
+            return retries[slot][0] if slot in retries else 1
 
         def observe_reveal(slot: int, alloc: Allocation, cache: str) -> None:
             task = tasks[slot]
@@ -714,27 +932,31 @@ class ListScheduler:
                         allocator,
                         None if use_task_alloc else task.model,
                         alloc,
-                        P,
+                        max(capacity, 1),
                         now,
                         task.id,
                         cache,
                     )
                 )
 
-        def observe_start(event: tuple[Time, int, int, int, Time, Allocation]) -> None:
+        def observe_start(event: _Started) -> None:
             task_id = tasks[event[2]].id
+            attempt = attempt_of(event[2])
             if checker is not None:
-                checker.on_start(now, task_id, event[3])
+                checker.on_start(now, task_id, event[3], attempt)
             if emit is not None:
-                emit(TaskStarted(now, task_id, event[3], event[0]))
+                emit(TaskStarted(now, task_id, event[3], event[0], attempt))
 
-        def observe_completion(event: tuple[Time, int, int, int, Time, Allocation]) -> None:
+        def observe_completion(event: _Started) -> None:
             task_id = tasks[event[2]].id
             if checker is not None:
                 checker.on_complete(now, task_id)
             if emit is not None:
-                emit(TaskCompleted(now, task_id, event[3], event[4]))
+                emit(TaskCompleted(now, task_id, event[3], event[4], attempt_of(event[2])))
 
+        # Faults at the initial instant shrink the platform before reveals.
+        if t_fault <= now:
+            apply_faults()
         admit(view.initial())
         start_fitting()
         if emit is not None:
@@ -742,64 +964,65 @@ class ListScheduler:
 
         heappop = heapq.heappop
         on_complete = view.on_complete
-
-        if not (isinstance(view, NumberedSlots) and view.timed):
-            # Untimed sources (the paper's setting): the next event is
-            # always the earliest completion, so the loop runs heap-driven
-            # without the release-time bookkeeping of the general case.
-            while events:
-                now = events[0][0]
-                n_events += 1
-                revealed: list[int] = []
-                # Drain every completion at this instant before rescanning
-                # the queue, so simultaneous completions release processors
-                # together.
-                while events and events[0][0] == now:
-                    event = heappop(events)
-                    free += event[3]
-                    if observed:
-                        observe_completion(event)
-                    revealed.extend(on_complete(event[2]))
-                if revealed:
-                    admit(revealed)
-                start_fitting()
-                if emit is not None:
-                    emit(QueueSampled(now, len(queue), free))
-        else:
-            # Sources that also release tasks at future wall-clock times
-            # (the "independent tasks released over time" setting): time
-            # also advances to release instants, even on an idle platform.
+        # Sources that also release tasks at future wall-clock times (the
+        # "independent tasks released over time" setting) advance time to
+        # release instants too, even on an idle platform.
+        timed = isinstance(view, NumberedSlots) and view.timed
+        if timed:
             next_release = getattr(source, "next_release_time", None)
-            release_due = view.release_due
-            while True:
-                t_completion = events[0][0] if events else math.inf
-                t_release = math.inf
+            release_due = getattr(view, "release_due", None)
+        inf = t_release = math.inf
+        # One instant: releases and completions (a task finishing exactly
+        # when its processor dies has finished), then faults, then the
+        # revealed tasks, then due retries, then one queue pass.
+        while True:
+            while tracking and events and events[0][1] not in running:
+                heappop(events)  # a killed attempt's completion
+            t_next = events[0][0] if events else inf
+            if timed:
                 upcoming = next_release()
-                if upcoming is not None:
-                    t_release = upcoming
-                if math.isinf(t_completion) and math.isinf(t_release):
+                t_release = inf if upcoming is None else upcoming
+                if t_release < t_next:
+                    t_next = t_release
+            if delayed and delayed[0][0] < t_next:
+                t_next = delayed[0][0]
+            if t_next == inf:
+                # Idle: only a recovery can unblock a non-empty queue, and
+                # trailing faults cannot matter once the queue is empty.
+                if not queue or t_fault == inf:
                     break
-                now = min(t_completion, t_release)
-                n_events += 1
-                revealed = []
-                if t_release <= now:
-                    revealed.extend(release_due(now))
-                while events and events[0][0] == now:
-                    event = heappop(events)
-                    free += event[3]
-                    if observed:
-                        observe_completion(event)
-                    revealed.extend(on_complete(event[2]))
-                if revealed:
-                    admit(revealed)
-                start_fitting()
-                if emit is not None:
-                    emit(QueueSampled(now, len(queue), free))
+                t_next = t_fault
+            now = t_next if t_next <= t_fault else t_fault
+            n_events += 1
+            revealed: list[int] = []
+            if t_release <= now:
+                revealed.extend(release_due(now))
+            # Drain every completion at this instant before rescanning the
+            # queue, so simultaneous completions release processors
+            # together.
+            while events and events[0][0] == now:
+                event = heappop(events)
+                if tracking and not finish(event):
+                    continue
+                free += event[3]
+                if observed:
+                    observe_completion(event)
+                revealed.extend(on_complete(event[2]))
+            if t_fault <= now:
+                apply_faults()
+            if revealed:
+                admit(revealed)
+            while delayed and delayed[0][0] <= now:
+                requeue(heappop(delayed)[2])
+            start_fitting()
+            if emit is not None:
+                emit(QueueSampled(now, len(queue), free))
 
         if queue:
             stuck = [tasks[entry[1]].id for entry in queue[:10]]
             raise SimulationError(
-                f"deadlock: tasks {stuck!r} can never start (free={free}, P={self.P})"
+                f"deadlock: tasks {stuck!r} can never start "
+                f"(free={free}, capacity={capacity}, P={P}, no recovery pending)"
             )
         if not view.is_exhausted():
             raise SimulationError(
@@ -814,7 +1037,7 @@ class ListScheduler:
             queue_scans=queue_scans,
             scans_skipped=scans_skipped,
             scan_steps=scan_steps,
-            allocator_calls=len(revealed_log),
+            allocator_calls=len(revealed_log) + n_reallocs,
         )
         if cache_info0 is not None:
             info = cache_info()
@@ -824,9 +1047,9 @@ class ListScheduler:
         registry = active_metrics()
         if registry is not None:
             registry.record_engine_stats(stats.as_dict())
-        # Every Schedule.add guard already held: one start per slot, task
-        # ids unique per view (checked at reveal), 1 <= procs <= P (checked
-        # at reveal) and end >= start (checked at start).
+        # Every Schedule.add guard already held: one completed attempt per
+        # slot, task ids unique per view (checked at reveal), 1 <= procs <= P
+        # (checked at allocation) and end >= start (checked at start).
         new = tuple.__new__
         schedule = Schedule._from_entries(
             P,
@@ -835,401 +1058,14 @@ class ListScheduler:
                     ScheduledTask,
                     (tasks[slot].id, start, end, procs, alloc.initial or procs, tasks[slot].tag),
                 )
-                for end, _, slot, procs, start, alloc in started
+                for end, _, slot, procs, start, alloc in (finished if tracking else started)
             ],
         )
         ids = [tasks[entry[1]].id for entry in revealed_log]
         allocations = dict(zip(ids, [entry[4] for entry in revealed_log]))
         revealed_at = dict(zip(ids, [entry[5] for entry in revealed_log]))
-        return SimulationResult(
-            schedule, allocations, source.realized_graph(), revealed_at, stats=stats
-        )
-
-    # ------------------------------------------------------------------
-    # Fault-aware path: dynamic capacity, kills, retries
-    # ------------------------------------------------------------------
-    def _run_resilient(
-        self,
-        source: GraphSource,
-        faults: FaultModel | None,
-        retry: RetryPolicy | None,
-        check_invariants: bool,
-        emit: _Emit | None = None,
-    ) -> SimulationResult:
-        # Lazy imports keep sim/ below resilience/ in the layering: the
-        # engine only duck-types fault models, and reaches up for the
-        # default retry policy at call time.
-        from repro.resilience.faults import FaultTimeline
-        from repro.resilience.retry import RetryPolicy
-
-        if retry is None:
-            retry = RetryPolicy()
-        timeline = faults.timeline(self.P) if faults is not None else FaultTimeline(())
-        checker = InvariantChecker(self.P) if check_invariants else None
-
-        schedule = Schedule(self.P)
-        allocations: dict[TaskId, Allocation] = {}
-        revealed_at: dict[TaskId, Time] = {}
-        queue: list[_Waiting] = []
-        seq = itertools.count()
-        now: Time = 0.0
-
-        # Processor identities: the engine packs tasks onto the lowest free
-        # indices, faults name their victim processor explicitly.
-        down: set[int] = set()
-        free_set: set[int] = set(range(self.P))
-        proc_owner: dict[int, TaskId] = {}
-        capacity = self.P
-
-        running: dict[TaskId, _Running] = {}
-        # Heap entries: (time, seq, kind, payload) with kind "complete"
-        # (payload: (task_id, attempt) — stale after a kill) or "retry"
-        # (payload: _Waiting to re-admit after its backoff delay).
-        events: list[tuple[Time, int, str, object]] = []
-        attempt_log: list[AttemptRecord] = []
-        capacity_log: list[tuple[Time, int]] = [(0.0, self.P)]
-        stats = EngineStats()
-
-        allocate_task = getattr(self.allocator, "allocate_task", None)
-        # Memoized entry point: re-allocations at a recurring live capacity
-        # P_t hit the same (cache_key, P_t) entry instead of re-running the
-        # allocator's searches.
-        allocate_model = getattr(self.allocator, "allocate_cached", None)
-        if not callable(allocate_model):
-            allocate_model = self.allocator.allocate
-        cache_info = getattr(self.allocator, "cache_info", None)
-        cache_info0 = cache_info() if callable(cache_info) else None
-
-        def allocate(
-            task: Task, model: SpeedupModel, P_t: int, attempt: int = 1
-        ) -> Allocation:
-            """Consult the allocator for the live capacity ``P_t``."""
-            stats.allocator_calls += 1
-            info_before = (
-                cache_info() if emit is not None and cache_info0 is not None else None
-            )
-            if callable(allocate_task):
-                alloc = allocate_task(task, P_t, free=len(free_set))
-            else:
-                alloc = allocate_model(model, P_t, free=len(free_set))
-            if not 1 <= alloc.final <= P_t:
-                raise SimulationError(
-                    f"allocator returned infeasible allocation {alloc} for task "
-                    f"{task.id!r} on live capacity P_t={P_t}"
-                )
-            if emit is not None:
-                info_after = cache_info() if info_before is not None else None
-                emit(
-                    _allocation_event(
-                        self.allocator,
-                        None if callable(allocate_task) else model,
-                        alloc,
-                        P_t,
-                        now,
-                        task.id,
-                        _cache_status(info_before, info_after),
-                        attempt,
-                    )
-                )
-            return alloc
-
-        def record_capacity() -> None:
-            if capacity_log[-1][0] == now:
-                capacity_log[-1] = (now, capacity)
-            else:
-                capacity_log.append((now, capacity))
-            if checker is not None:
-                checker.on_capacity(now, capacity)
-            if emit is not None:
-                emit(CapacityChanged(now, capacity))
-
-        def resort() -> None:
-            if self.priority is not None:
-                queue.sort(key=lambda w: (self.priority(w.task, w.allocation), w.seq))
-
-        def admit(tasks: list[Task]) -> None:
-            """Admit freshly revealed tasks (first attempts)."""
-            for task in tasks:
-                if task.id in allocations:
-                    raise SimulationError(f"task {task.id!r} revealed twice")
-                if emit is not None:
-                    emit(TaskRevealed(now, task.id))
-                cap = max(capacity, 1)  # provisional if the platform is fully down
-                alloc = allocate(task, task.model, cap)
-                allocations[task.id] = alloc
-                revealed_at[task.id] = now
-                if checker is not None:
-                    checker.on_reveal(now, task.id)
-                queue.append(
-                    _Waiting(task, alloc, next(seq), cap_at_alloc=capacity)
-                )
-            resort()
-
-        def requeue(waiting: _Waiting) -> None:
-            """Re-admit a killed task's next attempt."""
-            cap = max(capacity, 1)
-            alloc = allocate(waiting.task, waiting.effective_model, cap, waiting.attempt)
-            allocations[waiting.task.id] = alloc
-            queue.append(
-                replace(
-                    waiting,
-                    allocation=alloc,
-                    seq=next(seq),
-                    cap_at_alloc=capacity,
-                )
-            )
-            resort()
-
-        def start_fitting() -> None:
-            # The resilient queue pass stays exhaustive: re-capping mutates
-            # waiting allocations as the live capacity moves, so the plain
-            # path's min-demand early exit would be unsound here.
-            if queue:
-                stats.queue_scans += 1
-                stats.scan_steps += len(queue)
-            remaining: list[_Waiting] = []
-            for waiting in queue:
-                if capacity < 1:
-                    remaining.append(waiting)
-                    continue
-                if waiting.cap_at_alloc != capacity:
-                    # Re-cap at the live capacity: the allocator's
-                    # ceil(mu * P_t) cap must track P_t, and an allocation
-                    # computed for a larger platform may no longer fit.
-                    alloc = allocate(
-                        waiting.task, waiting.effective_model, capacity, waiting.attempt
-                    )
-                    allocations[waiting.task.id] = alloc
-                    waiting = replace(waiting, allocation=alloc, cap_at_alloc=capacity)
-                procs = waiting.allocation.final
-                if procs > capacity:
-                    # Start-time guard (never reachable with a law-abiding
-                    # allocator): refuse to over-pack the live platform.
-                    raise SimulationError(
-                        f"task {waiting.task.id!r}: allocation {procs} exceeds live "
-                        f"capacity P_t={capacity} at start time t={now:.6g}"
-                    )
-                if procs <= len(free_set):
-                    ids = tuple(sorted(free_set)[:procs])
-                    free_set.difference_update(ids)
-                    for q in ids:
-                        proc_owner[q] = waiting.task.id
-                    stats.tasks_started += 1
-                    model = waiting.effective_model
-                    duration = model.time(procs)
-                    end = now + duration
-                    running[waiting.task.id] = _Running(
-                        waiting.task,
-                        waiting.allocation,
-                        ids,
-                        now,
-                        end,
-                        waiting.attempt,
-                        model,
-                    )
-                    if checker is not None:
-                        checker.on_start(now, waiting.task.id, procs, waiting.attempt)
-                    if emit is not None:
-                        emit(TaskStarted(now, waiting.task.id, procs, end, waiting.attempt))
-                    heapq.heappush(
-                        events,
-                        (end, next(seq), "complete", (waiting.task.id, waiting.attempt)),
-                    )
-                else:
-                    remaining.append(waiting)
-            queue[:] = remaining
-
-        def complete(task_id: TaskId) -> list[Task]:
-            rec = running.pop(task_id)
-            for q in rec.proc_ids:
-                del proc_owner[q]
-                free_set.add(q)
-            schedule.add(
-                task_id,
-                rec.start,
-                now,
-                rec.alloc.final,
-                initial_alloc=rec.alloc.initial,
-                tag=rec.task.tag,
-            )
-            attempt_log.append(
-                AttemptRecord(
-                    task_id, rec.attempt, rec.start, now, rec.alloc.final, True, rec.proc_ids
-                )
-            )
-            if checker is not None:
-                checker.on_complete(now, task_id)
-            if emit is not None:
-                emit(
-                    TaskCompleted(
-                        now, task_id, rec.alloc.final, rec.start, rec.attempt, True
-                    )
-                )
-            return source.on_complete(task_id)
-
-        def kill(task_id: TaskId, failed_proc: int) -> None:
-            rec = running.pop(task_id)
-            for q in rec.proc_ids:
-                del proc_owner[q]
-                if q != failed_proc and q not in down:
-                    free_set.add(q)
-            attempt_log.append(
-                AttemptRecord(
-                    task_id, rec.attempt, rec.start, now, rec.alloc.final, False, rec.proc_ids
-                )
-            )
-            if checker is not None:
-                checker.on_kill(now, task_id)
-            if emit is not None:
-                emit(
-                    TaskCompleted(
-                        now, task_id, rec.alloc.final, rec.start, rec.attempt, False
-                    )
-                )
-            next_attempt = rec.attempt + 1
-            if not retry.allows(next_attempt):
-                raise TaskAbortedError(
-                    f"task {task_id!r} killed by a processor failure on attempt "
-                    f"{rec.attempt}/{retry.max_attempts} at t={now:.6g}; retry "
-                    "budget exhausted",
-                    task_id=task_id,
-                    attempts=rec.attempt,
-                )
-            duration = rec.end - rec.start
-            progress = 0.0 if duration <= 0 else (now - rec.start) / duration
-            model = retry.residual_model(rec.model, min(progress, 1.0))
-            waiting = _Waiting(
-                rec.task, rec.alloc, -1, attempt=next_attempt, model=model
-            )
-            delay = retry.backoff_delay(rec.attempt)
-            if emit is not None:
-                emit(RetryScheduled(now, task_id, next_attempt, delay))
-            if delay > 0:
-                heapq.heappush(events, (now + delay, next(seq), "retry", waiting))
-            else:
-                requeue(waiting)
-
-        def apply_fault(event: FaultEvent) -> None:
-            nonlocal capacity
-            proc = event.processor
-            if emit is not None:
-                emit(FaultInjected(now, proc, event.kind))
-            if event.kind == "fail":
-                if proc in down:
-                    raise SimulationError(
-                        f"fault trace fails processor {proc} twice (t={now:.6g})"
-                    )
-                down.add(proc)
-                capacity -= 1
-                if proc in free_set:
-                    free_set.discard(proc)
-                else:
-                    victim = proc_owner.get(proc)
-                    if victim is not None:
-                        kill(victim, proc)
-            else:  # recover
-                if proc not in down:
-                    raise SimulationError(
-                        f"fault trace recovers processor {proc} while up (t={now:.6g})"
-                    )
-                down.discard(proc)
-                capacity += 1
-                free_set.add(proc)
-
-        next_release = getattr(source, "next_release_time", None)
-        release_due = getattr(source, "release_due", None)
-        timed = callable(next_release) and callable(release_due)
-
-        def next_event_time() -> Time:
-            """Earliest live heap event, dropping stale completions."""
-            while events:
-                t, _, kind, payload = events[0]
-                if kind == "complete":
-                    task_id, attempt = payload
-                    rec = running.get(task_id)
-                    if rec is None or rec.attempt != attempt:
-                        heapq.heappop(events)  # killed: stale completion
-                        continue
-                return t
-            return math.inf
-
-        # Faults at the initial instant shrink the platform before reveals.
-        initial_faults = False
-        while (t := timeline.peek()) is not None and t <= 0.0:
-            apply_fault(timeline.pop())
-            initial_faults = True
-        if initial_faults:
-            record_capacity()
-        admit(source.initial_tasks())
-        start_fitting()
-        if emit is not None:
-            emit(QueueSampled(now, len(queue), len(free_set)))
-
-        while True:
-            t_event = next_event_time()
-            t_release = math.inf
-            if timed:
-                upcoming = next_release()
-                if upcoming is not None:
-                    t_release = upcoming
-            t_fault = timeline.peek()
-            if t_fault is None:
-                t_fault = math.inf
-            if math.isinf(t_event) and math.isinf(t_release):
-                if not queue:
-                    break  # done; trailing fault events cannot matter
-                if math.isinf(t_fault):
-                    stuck = [w.task.id for w in queue[:10]]
-                    raise SimulationError(
-                        f"deadlock: tasks {stuck!r} can never start "
-                        f"(capacity={capacity}, P={self.P}, no recovery pending)"
-                    )
-            now = min(t_event, t_release, t_fault)
-            stats.events += 1
-            revealed: list[Task] = []
-            retries: list[_Waiting] = []
-            if timed and t_release <= now:
-                revealed.extend(release_due(now))
-            # Completions at this instant are processed before faults: a
-            # task finishing exactly when its processor dies has finished.
-            while events and events[0][0] == now:
-                _, _, kind, payload = heapq.heappop(events)
-                if kind == "complete":
-                    task_id, attempt = payload
-                    rec = running.get(task_id)
-                    if rec is None or rec.attempt != attempt:
-                        continue  # stale: the attempt was killed
-                    revealed.extend(complete(task_id))
-                else:
-                    retries.append(payload)
-            faults_applied = False
-            while (t := timeline.peek()) is not None and t <= now:
-                apply_fault(timeline.pop())
-                faults_applied = True
-            if faults_applied:
-                record_capacity()
-            admit(revealed)
-            for waiting in retries:
-                requeue(waiting)
-            start_fitting()
-            if emit is not None:
-                emit(QueueSampled(now, len(queue), len(free_set)))
-
-        if not source.is_exhausted():
-            raise SimulationError(
-                "source still holds unrevealed tasks after the queue drained; "
-                "the revealed graph is disconnected from its sources"
-            )
-        if checker is not None:
-            checker.on_end(now)
-        if cache_info0 is not None:
-            info = cache_info()
-            stats.alloc_cache_hits = info.hits - cache_info0.hits
-            stats.alloc_cache_misses = info.misses - cache_info0.misses
-            stats.alloc_cache_bypasses = info.bypasses - cache_info0.bypasses
-        registry = active_metrics()
-        if registry is not None:
-            registry.record_engine_stats(stats.as_dict())
+        for slot, alloc in realloc.items():
+            allocations[tasks[slot].id] = alloc
         return SimulationResult(
             schedule,
             allocations,

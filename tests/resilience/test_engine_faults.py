@@ -12,11 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.online import SingleProcessorAllocator
 from repro.core import OnlineScheduler
 from repro.core.constants import MODEL_FAMILIES, mu_for_family
-from repro.exceptions import SimulationError, TaskAbortedError
+from repro.core.priorities import PRIORITY_RULES
+from repro.exceptions import InvalidParameterError, SimulationError, TaskAbortedError
 from repro.graph import TaskGraph
-from repro.graph.generators import chain, fork_join, layered_random
+from repro.graph.generators import (
+    chain,
+    erdos_renyi_dag,
+    fork_join,
+    independent_tasks,
+    layered_random,
+)
+from repro.obs.events import AllocationDecided, CollectingTracer
 from repro.resilience import (
     BurstFaultModel,
     ExponentialFaultModel,
@@ -24,6 +33,7 @@ from repro.resilience import (
     FaultTrace,
     RetryPolicy,
 )
+from repro.resilience.faults import FaultEvent, FaultTimeline
 from repro.sim import ListScheduler, ReleasedTaskSource, validate_result
 from repro.sim.allocation import Allocation, Allocator
 from repro.speedup import AmdahlModel, RandomModelFactory, RooflineModel
@@ -59,6 +69,71 @@ class TestFaultFreeEquivalence:
         faulty = scheduler.run(graph, faults=trace)
         assert faulty.makespan == pytest.approx(plain.makespan)
         assert faulty.killed_attempts() == 0
+
+
+def _per_task(result):
+    return {entry.task_id: entry for entry in result.schedule}
+
+
+@pytest.mark.parametrize("P", [4, 16, 64])
+@pytest.mark.parametrize("shape", ["layered", "erdos-renyi"])
+@pytest.mark.parametrize("family", MODEL_FAMILIES)
+@pytest.mark.parametrize("rule", ["fifo", "widest"])
+def test_fault_free_run_is_the_empty_timeline_run(rule, family, shape, P):
+    """No faults and an empty timeline run one loop: the same schedule, exactly.
+
+    ``faults=FaultTrace()`` and ``retry=RetryPolicy()`` only switch on the
+    fault telemetry (attempt log, processor ids, completion order).
+    """
+    factory = RandomModelFactory(family=family, seed=P)
+    if shape == "layered":
+        graph = layered_random(4, 8, factory, edge_probability=0.3, seed=P)
+    else:
+        graph = erdos_renyi_dag(30, factory, edge_probability=0.15, seed=P)
+    scheduler = OnlineScheduler.for_family(family, P, priority=PRIORITY_RULES[rule]())
+    plain = scheduler.run(graph)
+    for result in (
+        scheduler.run(graph, faults=FaultTrace()),
+        scheduler.run(graph, retry=RetryPolicy()),
+    ):
+        assert _per_task(result) == _per_task(plain)
+        assert list(result.allocations.items()) == list(plain.allocations.items())
+        assert list(result.revealed_at.items()) == list(plain.revealed_at.items())
+        assert result.killed_attempts() == 0
+    assert plain.attempt_log == ()
+    assert plain.capacity_timeline == ()
+
+
+class _Timeline:
+    """A fault model that hands the engine its events unchecked."""
+
+    def __init__(self, events):
+        self.events = [FaultEvent(t, kind, proc) for t, kind, proc in events]
+
+    def timeline(self, P):
+        return FaultTimeline(self.events)
+
+
+class TestMalformedTimelines:
+    def test_processor_outside_the_platform_is_rejected(self):
+        # Applied, the event would drop the capacity to 1 while two tasks
+        # still start at t=0 on P=2.
+        scheduler = ListScheduler(2, SingleProcessorAllocator())
+        faults = _Timeline([(0.0, "fail", 99), (0.5, "recover", 99)])
+        for check in (False, True):
+            with pytest.raises(InvalidParameterError, match="processor=99"):
+                scheduler.run(
+                    independent_tasks(4, amdahl), faults=faults, check_invariants=check
+                )
+
+    def test_out_of_order_timeline_is_rejected(self):
+        # Applied when reached, processor 1's failure at t=1 would kill at t=5.
+        scheduler = ListScheduler(2, SingleProcessorAllocator())
+        faults = _Timeline(
+            [(5.0, "fail", 0), (1.0, "fail", 1), (6.0, "recover", 0), (6.0, "recover", 1)]
+        )
+        with pytest.raises(InvalidParameterError, match=r"time=1\.0.*before t=5"):
+            scheduler.run(independent_tasks(2, lambda: AmdahlModel(10.0, 1.0)), faults=faults)
 
 
 class TestVictimKillAndRetry:
@@ -189,6 +264,24 @@ class TestDynamicCapacity:
         for a in result.attempt_log:
             assert not (outage_start <= a.start < outage_start + outage)
         assert result.makespan > plain.makespan
+
+    def test_full_outage_defers_the_recap_to_recovery(self):
+        # The first failure of the burst kills the running attempt, whose
+        # retry is allocated inside the kill for the 3 processors still up.
+        # No queue pass consults the allocator while none is up; the
+        # recovery re-caps the retry once, for all 4.
+        graph = chain(3, amdahl)
+        scheduler = OnlineScheduler.for_family("amdahl", 4)
+        outage_start = scheduler.run(graph).makespan / 2
+        tracer = CollectingTracer()
+        faults = BurstFaultModel([outage_start], fraction=1.0, downtime=1.0)
+        scheduler.run(graph, faults=faults, tracer=tracer)
+        decided = [
+            (e.time, e.capacity, e.attempt)
+            for e in tracer.of_type(AllocationDecided)
+            if outage_start <= e.time <= outage_start + 1.0
+        ]
+        assert decided == [(outage_start, 3, 2), (outage_start + 1.0, 4, 2)]
 
     def test_initial_faults_shrink_platform_before_reveal(self):
         graph = single_task_graph(RooflineModel(w=10.0, max_parallelism=64))
