@@ -32,11 +32,13 @@ from typing import Any, Callable, Mapping
 
 from repro.exceptions import (
     AdmissionRejected,
+    InvalidParameterError,
     JournalCorruptError,
     ProtocolError,
     QuotaExceeded,
     ServiceError,
     SessionClosed,
+    SimulationError,
 )
 from repro.graph.io import model_from_dict, model_to_dict
 from repro.obs.events import SimEvent
@@ -234,14 +236,10 @@ class ServiceCore:
         """Inject one processor fault (chaos harness / fault driver)."""
         if kind not in ("fail", "recover"):
             raise ProtocolError(f"fault kind must be fail/recover, got {kind!r}")
-        if not 0 <= proc < self.config.P:
-            raise ProtocolError(
-                f"processor index {proc} outside [0, {self.config.P})"
-            )
-        if kind == "fail" and proc in self.pool.down:
-            raise ProtocolError(f"processor {proc} is already down")
-        if kind == "recover" and proc not in self.pool.down:
-            raise ProtocolError(f"processor {proc} is not down")
+        try:
+            self.pool.check_fault(proc, kind)
+        except (InvalidParameterError, SimulationError) as exc:
+            raise ProtocolError(str(exc)) from exc
         notes = self._record("fault", {"fault_kind": kind, "proc": proc})
         assert isinstance(notes, list)
         return self._observe_notes(notes)

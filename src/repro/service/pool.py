@@ -1,32 +1,33 @@
 """The shared processor pool: a multi-tenant, virtual-time list scheduler.
 
-This is the engine room of the scheduler service.  It keeps the exact
-semantics of the paper's list-scheduling loop
-(:class:`~repro.sim.engine.ListScheduler`) — reveal-time allocation via
-Algorithm 2, FIFO queue passes, simultaneous completions draining
-together — but runs them *incrementally*: instead of consuming a closed
-DAG to exhaustion, the pool is mutated one operation at a time (submit /
-tick / fault / cancel) by :class:`~repro.service.core.ServiceCore` in
-journal order.  Given the same mutation sequence the pool is a pure
-function: replaying a journal reconstructs bit-identical state, which is
-what makes crash recovery digest-verifiable.
+This is the engine room of the scheduler service.  It runs the engine's
+own Algorithm-1 core, :class:`~repro.sim.engine.SlotLoop` — reveal-time
+allocation via Algorithm 2, queue passes, simultaneous completions
+draining together, processor faults, retries with backoff — but drives
+it *incrementally*: instead of consuming a closed DAG to exhaustion, the
+pool is mutated one operation at a time (submit / tick / fault / cancel)
+by :class:`~repro.service.core.ServiceCore` in journal order.  Each
+submitted task is one slot of the loop.  Given the same mutation
+sequence the pool is a pure function: replaying a journal reconstructs
+bit-identical state, which is what makes crash recovery
+digest-verifiable.
 
-Multi-tenancy adds two policies on top of the engine semantics, both
-deterministic:
+Multi-tenancy enters the loop only as policy (the pool is the loop's
+:class:`~repro.sim.engine.Tenancy`), and both policies are deterministic:
 
 * **Fair share.**  Each queue pass examines waiting tasks ordered by
-  ``(tenant's currently running processors, arrival seq)`` — tenants
+  ``(tenant's running processors at pass start, arrival seq)`` — tenants
   occupying less of the pool go first, and within a tenant the order is
   FIFO.  With a single tenant this reduces *exactly* to the engine's
   FIFO pass (pinned by the engine-equivalence tests).
-* **Processor quotas.**  A task whose start would push its tenant past
-  ``max_running_procs`` stays queued without blocking tasks of other
-  tenants behind it.
+* **Processor quotas.**  A tenant's ``max_running_procs`` caps the
+  allocation of each of its tasks, and a task whose start would push
+  its tenant past the quota stays queued without blocking tasks of
+  other tenants behind it.
 
-Faults reuse the resilient engine's machinery: processors have
-identities, a failure kills the victim attempt and shrinks the live
-capacity, retries back off in virtual time, and queued allocations are
-re-capped when the live capacity changes.  An embedded
+Retries follow ``RetryPolicy(max_attempts=fault_max_attempts,
+backoff_base=fault_backoff)``; a task whose budget is spent evicts its
+session (``RETRY_EXHAUSTED``).  The loop's
 :class:`~repro.sim.feasibility.InvariantChecker` cross-checks every
 transition (task identities are scoped to a session: a tenant's tasks are
 forgotten when its run finishes or is cancelled), and
@@ -36,25 +37,16 @@ forgotten when its run finishes or is cancelled), and
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Mapping
 
 from repro.core.allocator import LpaAllocator
-from repro.exceptions import ServiceError, SimulationError
-from repro.obs.events import (
-    CapacityChanged,
-    FaultInjected,
-    QueueSampled,
-    RetryScheduled,
-    SimEvent,
-    TaskCompleted,
-    TaskRevealed,
-    TaskStarted,
-)
+from repro.exceptions import InvalidParameterError, ServiceError, SimulationError
+from repro.obs.events import QueueSampled, SimEvent
+from repro.resilience.retry import RetryPolicy
 from repro.service.config import ServiceConfig, TenantQuota
-from repro.sim.allocation import Allocation, Allocator
+from repro.sim.allocation import Allocator
+from repro.sim.engine import SlotLoop
 from repro.sim.feasibility import InvariantChecker
 from repro.speedup.base import SpeedupModel
 
@@ -77,15 +69,7 @@ class PoolStats:
     ticks: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "submitted": self.submitted,
-            "decisions": self.decisions,
-            "started": self.started,
-            "completed": self.completed,
-            "killed": self.killed,
-            "cancelled": self.cancelled,
-            "ticks": self.ticks,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -95,8 +79,13 @@ class PoolTask:
     tenant: str
     task_id: str
     model: SpeedupModel
+    #: The task's slot in the pool's loop.
+    slot: int = -1
+    #: Processor quota of the tenant (``P`` without one).
+    limit: int = 0
     #: ``blocked`` (predecessors unfinished) -> ``queued`` -> ``running``
-    #: -> ``done``; ``cancelled`` is terminal from any live state.
+    #: -> ``done``; a killed attempt is ``killed`` until its retry is
+    #: queued; ``cancelled`` is terminal from any live state.
     state: str = "blocked"
     waiting_on: set[str] = field(default_factory=set)
     successors: list[str] = field(default_factory=list)
@@ -106,8 +95,11 @@ class PoolTask:
     procs: int = 0
     #: Processor ids of the running attempt (empty when not running).
     proc_ids: tuple[int, ...] = ()
-    #: Due time of the pending retry (``-1`` when none is pending).
-    retry_at: float = -1.0
+    #: Composite id used in obs events and the invariant checker.
+    id: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.id = f"{self.tenant}/{self.task_id}"
 
 
 @dataclass
@@ -140,24 +132,25 @@ class TenantRun:
         return self.status == "closed" and self.inflight == 0
 
 
-@dataclass(frozen=True)
-class _QueueEntry:
-    """A revealed task waiting for processors."""
-
-    tenant: str
-    task_id: str
-    allocation: Allocation
-    seq: int
-    attempt: int = 1
-    cap_at_alloc: int = -1
-
-
 #: (tenant, response-shaped payload) routed to sessions by the server.
 Notification = tuple[str, dict[str, object]]
 
 
-class SharedPool:
-    """Deterministic multi-tenant list scheduler over ``P`` processors."""
+def _arrival(task: object, alloc: object) -> int:
+    """Constant priority rule: queue entries carry their arrival seq."""
+    return 0
+
+
+class SharedPool(SlotLoop):
+    """Deterministic multi-tenant list scheduler over ``P`` processors.
+
+    The pool is the engine's slot loop, driven one mutation at a time and
+    run under its own :class:`~repro.sim.engine.Tenancy`: ``tasks[slot]``
+    is the :class:`PoolTask` of every task ever submitted.
+    """
+
+    tasks: list[PoolTask]
+    checker: InvariantChecker
 
     def __init__(
         self,
@@ -166,76 +159,60 @@ class SharedPool:
         allocator: Allocator | None = None,
         emit: _Emit | None = None,
     ) -> None:
+        super().__init__(
+            config.P,
+            allocator if allocator is not None else LpaAllocator(config.effective_mu),
+            [],
+            priority=_arrival,
+            tracking=True,
+            retry=RetryPolicy(
+                max_attempts=config.fault_max_attempts, backoff_base=config.fault_backoff
+            ),
+            record=False,
+            checker=InvariantChecker(config.P),
+            emit=emit,
+            tenancy=self,
+        )
         self.config = config
-        self.P = config.P
-        self.allocator: Allocator = (
-            allocator if allocator is not None else LpaAllocator(config.effective_mu)
-        )
-        self.emit = emit
-        self.now: float = 0.0
-        self.capacity: int = config.P
-        self.free_set: set[int] = set(range(config.P))
-        self.down: set[int] = set()
-        #: processor -> (tenant, task_id) of the attempt occupying it.
-        self.proc_owner: dict[int, tuple[str, str]] = {}
         self.tenants: dict[str, TenantRun] = {}
-        self.queue: list[_QueueEntry] = []
-        #: Event heap: (time, seq, kind, tenant, task_id, attempt) with
-        #: kind ``complete`` or ``retry``.
-        self.events: list[tuple[float, int, str, str, str, int]] = []
-        self._seq = itertools.count()
         self.stats = PoolStats()
-        self.checker = InvariantChecker(config.P)
+        #: seq -> attempt of a killed attempt whose completion is still
+        #: on the heap (the state digest lists every heap event).
+        self._killed: dict[int, int] = {}
+
+    @property
+    def proc_owner(self) -> dict[int, tuple[str, str]]:
+        """processor -> (tenant, task_id) of the attempt occupying it."""
+        tasks = self.tasks
+        return {
+            q: (tasks[event[2]].tenant, tasks[event[2]].task_id)
+            for q, event in self.owner.items()
+        }
 
     # ------------------------------------------------------------------
-    # Helpers
+    # Tenancy: the policies the loop runs under
     # ------------------------------------------------------------------
-    def _key(self, tenant: str, task_id: str) -> str:
-        """Composite id used in obs events and the invariant checker."""
-        return f"{tenant}/{task_id}"
+    def limit(self, slot: int) -> int:
+        return self.tasks[slot].limit
 
-    def _effective_cap(self, run: TenantRun) -> int:
-        """Allocation ceiling for one tenant: live capacity, quota-capped.
+    def hold(self, slot: int, procs: int) -> bool:
+        task = self.tasks[slot]
+        return self.tenants[task.tenant].running_procs + procs > task.limit
 
-        Capping the *allocation* (not just the start decision) at the
-        tenant's processor quota is what makes quotas deadlock-free: a
-        task can never be handed an allocation it is forbidden to run.
-        With no quota this is exactly the live capacity, i.e. the
-        engine's own rule.
-        """
-        cap = self.capacity
-        limit = run.quota.max_running_procs
-        if limit is not None and limit < cap:
-            cap = limit
-        return max(cap, 1)  # provisional floor if the platform is fully down
+    def pass_key(self, entry: tuple[Any, ...]) -> tuple[int, int]:
+        task = self.tasks[entry[1]]
+        return (self.tenants[task.tenant].running_procs, entry[0][1])
 
-    def _allocate(self, model: SpeedupModel, cap: int) -> Allocation:
-        allocate = getattr(self.allocator, "allocate_cached", None)
-        if not callable(allocate):
-            allocate = self.allocator.allocate
-        alloc = allocate(model, cap, free=len(self.free_set))
-        if not 1 <= alloc.final <= cap:
-            raise SimulationError(
-                f"allocator returned infeasible allocation {alloc} on P_t={cap}"
-            )
-        self.stats.decisions += 1
-        return alloc
-
-    def _reveal(self, run: TenantRun, task: PoolTask) -> None:
-        """A task's predecessors are done: fix its allocation, enqueue it."""
-        cap = self._effective_cap(run)
-        alloc = self._allocate(task.model, cap)
-        task.state = "queued"
-        entry = _QueueEntry(
-            run.tenant, task.task_id, alloc, next(self._seq),
-            attempt=task.attempt, cap_at_alloc=cap,
-        )
-        self.queue.append(entry)
-        if task.attempt == 1:  # a retry re-queues, it reveals nothing new
-            key = self._key(run.tenant, task.task_id)
-            self.checker.on_reveal(self.now, key)
-            if self.emit is not None:
-                self.emit(TaskRevealed(self.now, key))
+    def on_start(self, event: tuple[Any, ...], ids: tuple[int, ...]) -> None:
+        end, _, slot, procs, start, _ = event
+        task = self.tasks[slot]
+        task.state = "running"
+        task.start = start
+        task.end = end
+        task.procs = procs
+        task.proc_ids = ids
+        self.tenants[task.tenant].running_procs += procs
+        self.stats.started += 1
 
     # ------------------------------------------------------------------
     # Mutations (called by ServiceCore in journal order)
@@ -276,7 +253,8 @@ class SharedPool:
             raise ServiceError(f"tenant {tenant!r} is not accepting submissions")
         if task_id in run.tasks:
             raise ServiceError(f"task {task_id!r} submitted twice by {tenant!r}")
-        task = PoolTask(tenant=tenant, task_id=task_id, model=model)
+        limit = run.quota.max_running_procs
+        task = PoolTask(tenant, task_id, model, len(self.tasks), limit or self.P)
         for dep in deps:
             pred = run.tasks.get(dep)
             if pred is None:
@@ -286,12 +264,14 @@ class SharedPool:
             if pred.state != "done":
                 task.waiting_on.add(dep)
                 pred.successors.append(task_id)
+        self.tasks.append(task)
         run.tasks[task_id] = task
         run.inflight += 1
         self.stats.submitted += 1
         if not task.waiting_on:
-            self._reveal(run, task)
-            self._scan()
+            task.state = "queued"
+            self.admit([task.slot])
+            self.start_fitting()
         self._sample()
 
     def close_tenant(self, tenant: str) -> list[Notification]:
@@ -314,16 +294,11 @@ class SharedPool:
     def _finish(self, run: TenantRun, status: str) -> None:
         """End a tenant's run; its task ids become free for a later session."""
         run.status = status
-        self.checker.forget(self._key(run.tenant, t) for t in run.tasks)
+        self.checker.forget(task.id for task in run.tasks.values())
 
     def _graph_done_payload(self, run: TenantRun) -> dict[str, object]:
-        makespan = (
-            max(
-                (t.end for t in run.tasks.values() if t.state == "done"),
-                default=run.t0,
-            )
-            - run.t0
-        )
+        ends = (t.end for t in run.tasks.values() if t.state == "done")
+        makespan = max(ends, default=run.t0) - run.t0
         return {"event": "graph-done", "makespan": makespan, "tasks": run.completed}
 
     def cancel_tenant(self, tenant: str, reason: str) -> None:
@@ -335,292 +310,142 @@ class SharedPool:
         run = self.tenants[tenant]
         if not run.active:
             return
-        for entry in self.queue:
-            if entry.tenant == tenant:
-                run.tasks[entry.task_id].state = "cancelled"
-        self.queue = [e for e in self.queue if e.tenant != tenant]
+        self.cancel([task.slot for task in run.tasks.values()])
         for task in run.tasks.values():
-            if task.state == "running":
-                self._release_procs(task)
-                self.checker.on_kill(self.now, self._key(tenant, task.task_id))
-                if self.emit is not None:
-                    self.emit(
-                        TaskCompleted(
-                            self.now, self._key(tenant, task.task_id),
-                            task.procs, task.start, task.attempt, False,
-                        )
-                    )
+            if task.state in ("blocked", "queued", "running", "killed"):
                 task.state = "cancelled"
-                run.running_procs -= task.procs
-            elif task.state in ("blocked", "killed"):
-                task.state = "cancelled"
+                task.proc_ids = ()
         self._finish(run, "cancelled")
         run.reason = reason
         run.inflight = 0
         run.running_procs = 0
         self.stats.cancelled += 1
-        self._scan()  # released capacity may start other tenants' work
+        self.start_fitting()  # released capacity may start other tenants' work
         self._sample()
 
     def fault(self, kind: str, proc: int) -> list[Notification]:
         """Apply one processor fault event (``fail`` / ``recover``)."""
-        if not 0 <= proc < self.P:
-            raise ServiceError(f"processor index {proc} outside [0, {self.P})")
-        notes: list[Notification] = []
-        if self.emit is not None:
-            self.emit(FaultInjected(self.now, proc, kind))
-        if kind == "fail":
-            if proc in self.down:
-                raise ServiceError(f"processor {proc} failed twice")
-            self.down.add(proc)
-            self.capacity -= 1
-            if proc in self.free_set:
-                self.free_set.discard(proc)
-            else:
-                victim = self.proc_owner.get(proc)
-                if victim is not None:
-                    notes.extend(self._kill(victim[0], victim[1]))
-        elif kind == "recover":
-            if proc not in self.down:
-                raise ServiceError(f"processor {proc} recovered while up")
-            self.down.discard(proc)
-            self.capacity += 1
-            self.free_set.add(proc)
-        else:
+        if kind not in ("fail", "recover"):
             raise ServiceError(f"unknown fault kind {kind!r}")
-        self.checker.on_capacity(self.now, self.capacity)
-        if self.emit is not None:
-            self.emit(CapacityChanged(self.now, self.capacity))
-        self._scan()
+        victim = None
+        try:  # the loop validates before any effect
+            if kind == "fail":
+                victim = self.fail(proc)
+            else:
+                self.recover(proc)
+        except (InvalidParameterError, SimulationError) as exc:
+            raise ServiceError(str(exc)) from exc
+        notes: list[Notification] = [] if victim is None else self._killed_attempt(victim)
+        self.capacity_changed()
+        self.start_fitting()
         self._sample()
         self.check_conservation()
         return notes
 
     def tick(self, max_events: int) -> list[Notification]:
-        """Advance virtual time through up to ``max_events`` event instants.
+        """Advance virtual time through up to ``max_events`` heap events.
 
-        Processes whole instants (simultaneous completions drain
-        together, exactly like the engine), reveals successors in
-        completion order, runs one fair-share queue pass per instant, and
-        enforces virtual-time session deadlines.  Returns notifications
-        (task/graph completions, evictions) for the server to route.
+        Processes whole instants in the engine's order — completions,
+        then the successors they reveal, then due retries, then one
+        fair-share queue pass — and then enforces virtual-time session
+        deadlines.  Every event popped counts against the budget, the
+        stale completion of a killed attempt or a cancelled session's
+        included.  Returns notifications (task/graph completions,
+        evictions) for the server to route.
         """
         notes: list[Notification] = []
         self.stats.ticks += 1
+        tasks = self.tasks
         processed = 0
-        while self.events and processed < max_events:
-            self.now = self.events[0][0]
-            revealed: list[tuple[TenantRun, PoolTask]] = []
-            retries: list[tuple[TenantRun, PoolTask]] = []
-            while self.events and self.events[0][0] == self.now:
-                _, _, kind, tenant, task_id, attempt = heapq.heappop(self.events)
-                processed += 1
-                run = self.tenants[tenant]
-                task = run.tasks.get(task_id)
-                if task is None or not run.active or task.attempt != attempt:
-                    continue  # tenant cancelled, or the attempt was killed
-                # An event acts only if it is due now: one left by an earlier
-                # session of a re-admitted tenant that reused the id is stale.
-                if kind == "retry":
-                    if task.state == "killed" and task.retry_at == self.now:
-                        task.retry_at = -1.0  # a twin stale event finds none due
-                        retries.append((run, task))
-                elif task.state == "running" and task.end == self.now:
-                    notes.extend(self._complete(run, task, revealed))
-            for run, task in retries + revealed:
-                self._reveal(run, task)
-            self._scan()
+        while (self.events or self.delayed) and processed < max_events:
+            done, due = self.pop_instant()
+            processed += len(done) + len(due)
+            revealed: list[int] = []
+            for event in done:
+                self._killed.pop(event[1], None)
+                if self.complete(event):
+                    notes.extend(self._completed(tasks[event[2]], revealed))
+            if revealed:
+                self.admit(revealed)
+            for slot in due:
+                if tasks[slot].state == "killed":  # not cancelled meanwhile
+                    tasks[slot].state = "queued"
+                    self.requeue(slot)
+            self.start_fitting()
             notes.extend(self._check_deadlines())
             self._sample()
         self.check_conservation()
         return notes
 
     # ------------------------------------------------------------------
-    # Internal transitions
+    # Tenant bookkeeping of the loop's transitions
     # ------------------------------------------------------------------
-    def _complete(
-        self,
-        run: TenantRun,
-        task: PoolTask,
-        revealed: list[tuple[TenantRun, PoolTask]],
-    ) -> list[Notification]:
-        notes: list[Notification] = []
-        key = self._key(run.tenant, task.task_id)
-        self._release_procs(task)
+    def _completed(self, task: PoolTask, revealed: list[int]) -> list[Notification]:
+        """A task finished: account it, collect the successors it made ready."""
+        run = self.tenants[task.tenant]
         task.state = "done"
-        task.end = self.now
+        task.proc_ids = ()
         run.running_procs -= task.procs
         run.inflight -= 1
         run.completed += 1
         self.stats.completed += 1
-        self.checker.on_complete(self.now, key)
-        if self.emit is not None:
-            self.emit(TaskCompleted(self.now, key, task.procs, task.start, task.attempt))
-        notes.append(
-            (
-                run.tenant,
-                {
-                    "event": "task-done",
-                    "task": task.task_id,
-                    "start": task.start,
-                    "end": task.end,
-                    "procs": task.procs,
-                },
-            )
-        )
+        done = {"event": "task-done", "task": task.task_id, "start": task.start,
+                "end": task.end, "procs": task.procs}
+        notes: list[Notification] = [(run.tenant, done)]
         for succ_id in task.successors:
             succ = run.tasks[succ_id]
             if succ.state != "blocked":
                 continue
             succ.waiting_on.discard(task.task_id)
             if not succ.waiting_on:
-                revealed.append((run, succ))
+                succ.state = "queued"
+                revealed.append(succ.slot)
         if run.is_drained():
             self._finish(run, "finished")
             notes.append((run.tenant, self._graph_done_payload(run)))
         return notes
 
-    def _kill(self, tenant: str, task_id: str) -> list[Notification]:
-        """A fault killed a running attempt: free survivors, queue the retry."""
-        run = self.tenants[tenant]
-        task = run.tasks[task_id]
-        key = self._key(tenant, task_id)
-        self._release_procs(task)  # the failed processor is already down
+    def _killed_attempt(self, event: tuple[Any, ...]) -> list[Notification]:
+        """A fault killed a running attempt: account it, retry or evict."""
+        task = self.tasks[event[2]]
+        run = self.tenants[task.tenant]
+        killed_attempt = task.attempt
+        self._killed[event[1]] = killed_attempt
         run.running_procs -= task.procs
         self.stats.killed += 1
-        self.checker.on_kill(self.now, key)
-        if self.emit is not None:
-            self.emit(TaskCompleted(self.now, key, task.procs, task.start, task.attempt, False))
-        notes: list[Notification] = [
-            (tenant, {"event": "task-killed", "task": task_id, "attempt": task.attempt})
-        ]
-        killed_attempt = task.attempt
-        task.state = "killed"  # before any evict: the attempt is fully released
+        task.state = "killed"
         task.procs = 0
-        next_attempt = killed_attempt + 1
-        if next_attempt > self.config.fault_max_attempts:
-            notes.extend(
-                self._evict(
-                    run,
-                    "RETRY_EXHAUSTED",
-                    f"task {task_id!r} killed {killed_attempt} times "
-                    f"(fault_max_attempts={self.config.fault_max_attempts})",
-                )
-            )
-            return notes
-        task.attempt = next_attempt
-        delay = 0.0
-        if self.config.fault_backoff > 0:
-            delay = self.config.fault_backoff * (2.0 ** (next_attempt - 2))
-        if self.emit is not None:
-            self.emit(RetryScheduled(self.now, key, next_attempt, delay))
-        if delay > 0:
-            task.retry_at = self.now + delay
-            heapq.heappush(
-                self.events,
-                (task.retry_at, next(self._seq), "retry", tenant, task_id, next_attempt),
-            )
-        else:
-            self._reveal(run, task)
+        task.proc_ids = ()
+        notes: list[Notification] = [
+            (task.tenant, {"event": "task-killed", "task": task.task_id, "attempt": killed_attempt})
+        ]
+        delay = self.retry(event)
+        if delay is None:
+            message = (f"task {task.task_id!r} killed {killed_attempt} times "
+                       f"(fault_max_attempts={self.config.fault_max_attempts})")
+            return notes + self._evict(run, "RETRY_EXHAUSTED", message)
+        task.attempt = killed_attempt + 1
+        if delay <= 0:
+            task.state = "queued"
         return notes
 
     def _evict(self, run: TenantRun, reason: str, message: str) -> list[Notification]:
         self.cancel_tenant(run.tenant, reason)
-        return [
-            (run.tenant, {"event": "evicted", "reason": reason, "message": message})
-        ]
+        return [(run.tenant, {"event": "evicted", "reason": reason, "message": message})]
 
     def _check_deadlines(self) -> list[Notification]:
         notes: list[Notification] = []
+        now = self.now
         for tenant in sorted(self.tenants):
             run = self.tenants[tenant]
-            if run.active and run.deadline is not None and self.now >= run.deadline:
-                notes.extend(
-                    self._evict(
-                        run,
-                        "DEADLINE_EXCEEDED",
-                        f"session deadline {run.deadline - run.t0:.6g} overran "
-                        f"at t={self.now:.6g}",
-                    )
-                )
+            if run.active and run.deadline is not None and now >= run.deadline:
+                message = f"session deadline {run.deadline - run.t0:.6g} overran at t={now:.6g}"
+                notes.extend(self._evict(run, "DEADLINE_EXCEEDED", message))
         return notes
 
-    def _release_procs(self, task: PoolTask) -> None:
-        """Return a running attempt's processors to the free set (down ones stay down)."""
-        for q in task.proc_ids:
-            del self.proc_owner[q]
-            if q not in self.down:
-                self.free_set.add(q)
-        task.proc_ids = ()
-
-    def _scan(self) -> None:
-        """One fair-share queue pass: start everything that fits.
-
-        Entries are visited ordered by ``(tenant running procs at pass
-        start, seq)``; quota-blocked entries are skipped without blocking
-        later entries; allocations computed for a different live capacity
-        are re-capped first (the resilient engine's rule).
-        """
-        if not self.queue or self.capacity < 1:
-            return
-        usage = {t: run.running_procs for t, run in self.tenants.items()}
-        order = sorted(self.queue, key=lambda e: (usage[e.tenant], e.seq))
-        started: set[int] = set()
-        replaced: dict[int, _QueueEntry] = {}
-        for entry in order:
-            run = self.tenants[entry.tenant]
-            task = run.tasks[entry.task_id]
-            cap = self._effective_cap(run)
-            if entry.cap_at_alloc != cap:
-                alloc = self._allocate(task.model, cap)
-                entry = _QueueEntry(
-                    entry.tenant, entry.task_id, alloc, entry.seq,
-                    attempt=entry.attempt, cap_at_alloc=cap,
-                )
-                replaced[entry.seq] = entry
-            procs = entry.allocation.final
-            if procs > self.capacity:
-                raise SimulationError(
-                    f"task {entry.task_id!r}: allocation {procs} exceeds live "
-                    f"capacity P_t={self.capacity} at t={self.now:.6g}"
-                )
-            limit = run.quota.max_running_procs
-            if limit is not None and usage[entry.tenant] + procs > limit:
-                continue  # quota-blocked: stays queued, others overtake
-            if procs <= len(self.free_set):
-                self._start(run, task, entry)
-                usage[entry.tenant] += procs
-                started.add(entry.seq)
-        if started or replaced:
-            self.queue = [
-                replaced.get(e.seq, e) for e in self.queue if e.seq not in started
-            ]
-
-    def _start(self, run: TenantRun, task: PoolTask, entry: _QueueEntry) -> None:
-        procs = entry.allocation.final
-        ids = tuple(sorted(self.free_set)[:procs])
-        self.free_set.difference_update(ids)
-        owner = (run.tenant, task.task_id)
-        for q in ids:
-            self.proc_owner[q] = owner
-        task.proc_ids = ids
-        duration = task.model.time(procs)
-        task.state = "running"
-        task.start = self.now
-        task.end = self.now + duration
-        task.procs = procs
-        run.running_procs += procs
-        self.stats.started += 1
-        key = self._key(run.tenant, task.task_id)
-        self.checker.on_start(self.now, key, procs, task.attempt)
-        if self.emit is not None:
-            self.emit(TaskStarted(self.now, key, procs, task.end, task.attempt))
-        heapq.heappush(
-            self.events,
-            (task.end, next(self._seq), "complete", run.tenant, task.task_id, task.attempt),
-        )
-
     def _sample(self) -> None:
+        """End of a mutation step: sync the decision counter, sample the queue."""
+        self.stats.decisions = self.n_admitted + self.n_reallocs
         if self.emit is not None:
             self.emit(QueueSampled(self.now, len(self.queue), len(self.free_set)))
 
@@ -631,11 +456,11 @@ class SharedPool:
         return len(self.queue)
 
     def has_pending_events(self) -> bool:
-        return bool(self.events)
+        return bool(self.events or self.delayed)
 
     def idle(self) -> bool:
         """No queued work and no future events: ticking is a no-op."""
-        return not self.events and not self.queue
+        return not self.has_pending_events() and not self.queue
 
     def active_tenants(self) -> int:
         return sum(1 for run in self.tenants.values() if run.active)
@@ -646,25 +471,27 @@ class SharedPool:
         Raises :class:`~repro.exceptions.SimulationError` on any leak —
         the chaos harness calls this after every injected disturbance.
         """
-        owned = set(self.proc_owner)
-        if self.free_set & owned or self.free_set & self.down or owned & self.down:
+        free, down = self.free_set, self.down
+        owned = self.owner.keys()
+        if free & owned or free & down or owned & down:
             raise SimulationError(
-                f"processor sets overlap: free={sorted(self.free_set)} "
-                f"owned={sorted(owned)} down={sorted(self.down)}"
+                f"processor sets overlap: free={sorted(free)} "
+                f"owned={sorted(owned)} down={sorted(down)}"
             )
-        total = len(self.free_set) + len(owned) + len(self.down)
+        total = len(free) + len(owned) + len(down)
         if total != self.P:
             raise SimulationError(
-                f"processor leak: {len(self.free_set)} free + {len(owned)} owned "
-                f"+ {len(self.down)} down != P={self.P}"
+                f"processor leak: {len(free)} free + {len(owned)} owned "
+                f"+ {len(down)} down != P={self.P}"
             )
-        if self.capacity != self.P - len(self.down):
+        if self.capacity != self.P - len(down):
             raise SimulationError(
                 f"capacity {self.capacity} disagrees with P - down = "
-                f"{self.P - len(self.down)}"
+                f"{self.P - len(down)}"
             )
         running_by_tenant: dict[str, int] = {}
-        for tenant, _task in self.proc_owner.values():
+        for event in self.owner.values():
+            tenant = self.tasks[event[2]].tenant
             running_by_tenant[tenant] = running_by_tenant.get(tenant, 0) + 1
         for tenant, procs in running_by_tenant.items():
             run = self.tenants[tenant]
@@ -683,7 +510,7 @@ class SharedPool:
         """Canonical semantic state (the digest input; JSON-safe).
 
         Covers everything that affects future behaviour: virtual clock,
-        processor sets, queue, event heap, and per-tenant task states.
+        processor sets, queue, event heaps, and per-tenant task states.
         Observability counters are excluded (they are not semantics).
         """
         tenants = {}
@@ -710,6 +537,15 @@ class SharedPool:
                     for tid, t in sorted(run.tasks.items())
                 },
             }
+        tasks = self.tasks
+        events = [
+            [end, seq, "complete", tasks[slot].tenant, tasks[slot].task_id,
+             self._killed.get(seq, tasks[slot].attempt)]
+            for end, seq, slot, *_ in self.events
+        ] + [
+            [due, seq, "retry", tasks[slot].tenant, tasks[slot].task_id, tasks[slot].attempt]
+            for due, seq, slot in self.delayed
+        ]
         return {
             "now": self.now,
             "capacity": self.capacity,
@@ -717,13 +553,10 @@ class SharedPool:
             "down": sorted(self.down),
             "owner": {str(q): list(v) for q, v in sorted(self.proc_owner.items())},
             "queue": [
-                [e.tenant, e.task_id, e.allocation.final, e.seq, e.attempt]
-                for e in self.queue
+                [tasks[e[1]].tenant, tasks[e[1]].task_id, e[2], e[0][1], tasks[e[1]].attempt]
+                for e in sorted(self.queue, key=lambda entry: entry[0][1])
             ],
-            "events": sorted(
-                [t, s, kind, tenant, task, attempt]
-                for t, s, kind, tenant, task, attempt in self.events
-            ),
+            "events": sorted(events),
             "tenants": tenants,
         }
 
@@ -736,7 +569,7 @@ class SharedPool:
             "free": len(self.free_set),
             "down": len(self.down),
             "queue_depth": len(self.queue),
-            "pending_events": len(self.events),
+            "pending_events": len(self.events) + len(self.delayed),
             "tenants": {
                 t: {
                     "status": run.status,

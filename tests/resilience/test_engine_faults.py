@@ -25,7 +25,7 @@ from repro.graph.generators import (
     independent_tasks,
     layered_random,
 )
-from repro.obs.events import AllocationDecided, CollectingTracer
+from repro.obs.events import AllocationDecided, CollectingTracer, FaultInjected
 from repro.resilience import (
     BurstFaultModel,
     ExponentialFaultModel,
@@ -125,6 +125,23 @@ class TestMalformedTimelines:
                 scheduler.run(
                     independent_tasks(4, amdahl), faults=faults, check_invariants=check
                 )
+
+    @pytest.mark.parametrize(
+        "events", [[(0.5, "fail", 0), (1.0, "fail", 0)], [(0.5, "recover", 1)]]
+    )
+    def test_rejected_fault_is_not_traced(self, events):
+        # A fault that fails a down processor or recovers an up one is
+        # refused before it is traced.
+        tracer = CollectingTracer()
+        scheduler = ListScheduler(2, SingleProcessorAllocator())
+        with pytest.raises(SimulationError, match="cannot"):
+            scheduler.run(
+                independent_tasks(4, lambda: AmdahlModel(10.0, 1.0)),
+                faults=_Timeline(events),
+                tracer=tracer,
+            )
+        injected = tracer.of_type(FaultInjected)
+        assert [(e.time, e.kind, e.processor) for e in injected] == events[:-1]
 
     def test_out_of_order_timeline_is_rejected(self):
         # Applied when reached, processor 1's failure at t=1 would kill at t=5.

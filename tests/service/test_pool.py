@@ -1,16 +1,19 @@
 """SharedPool semantics: engine equivalence, fairness, quotas, faults."""
 
+import numpy as np
 import pytest
 
 from repro.core.allocator import LpaAllocator
 from repro.core.constants import mu_for_family
 from repro.exceptions import ServiceError
+from repro.graph import TaskGraph
 from repro.graph.generators import erdos_renyi_dag, fork_join
-from repro.obs.events import CollectingTracer, TaskCompleted, TaskStarted
+from repro.obs.events import CollectingTracer, FaultInjected, TaskCompleted, TaskStarted
+from repro.resilience import FaultTrace, RetryPolicy
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.pool import SharedPool
 from repro.sim.engine import ListScheduler
-from repro.speedup import AmdahlModel
+from repro.speedup import AmdahlModel, RooflineModel
 from repro.speedup.random import RandomModelFactory
 
 
@@ -72,6 +75,90 @@ class TestEngineEquivalence:
         run = pool.tenants["t"]
         makespan = max(t.end for t in run.tasks.values())
         assert makespan == reference.schedule.makespan()
+
+
+def assert_matches(run, reference):
+    """Every completed attempt of ``reference`` equals the pool's, bit for bit."""
+    assert run.status == "finished"
+    attempts = reference.attempt_counts()
+    for entry in reference.schedule:
+        task = run.tasks[str(entry.task_id)]
+        assert (task.start, task.end, task.procs) == (entry.start, entry.end, entry.procs)
+        assert task.attempt == attempts[entry.task_id]
+
+
+class TestFaultEquivalence:
+    """A single tenant under faults must reproduce a fault run of the engine.
+
+    Service faults arrive between queue passes, the engine applies them
+    before the pass of their instant; the two agree when the pool's pass
+    at the fault instant started nothing, so faults go only there, each
+    on a processor busy with an attempt started earlier.
+    """
+
+    def test_retry_due_with_a_reveal_queues_behind_it(self):
+        # A (w=10), B (w=2), D (w=1), E (w=5), C (w=5) after B, all on one
+        # processor, P=3, processor 0 fails at t=1, backoff 1.  At t=2 B's
+        # completion reveals C as A's retry comes due: reveals queue first.
+        graph = TaskGraph()
+        for name, work in (("A", 10.0), ("B", 2.0), ("D", 1.0), ("E", 5.0), ("C", 5.0)):
+            graph.add_task(name, RooflineModel(work, 1))
+        graph.add_edge("B", "C")
+        config = ServiceConfig(P=3, family="roofline", fault_backoff=1.0)
+        reference = ListScheduler(3, LpaAllocator(config.effective_mu)).run(
+            graph,
+            faults=FaultTrace([(1.0, "fail", 0)]),
+            retry=RetryPolicy(max_attempts=config.fault_max_attempts, backoff_base=1.0),
+        )
+        pool = SharedPool(config)
+        feed_graph(pool, "t", graph)
+        pool.tick(1)  # t=1: D completes
+        assert pool.now == 1.0
+        pool.fault("fail", 0)
+        drain(pool)
+        run = pool.tenants["t"]
+        assert (run.tasks["A"].start, run.tasks["A"].end) == (6.0, 16.0)
+        assert (run.tasks["C"].start, run.tasks["C"].end) == (2.0, 7.0)
+        assert_matches(run, reference)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", ["general", "amdahl", "communication", "roofline"])
+    def test_seeded_fault_runs_match_engine(self, seed, family):
+        rng = np.random.default_rng([seed, 23])
+        factory = RandomModelFactory(family, seed=seed + 200)
+        graph = erdos_renyi_dag(30, factory, edge_probability=0.15, seed=seed)
+        P = 16
+        config = ServiceConfig(P=P, family=family, fault_backoff=0.25)
+        pool = SharedPool(config)
+        feed_graph(pool, "t", graph)
+        faults: list[tuple[float, str, int]] = []
+        run = pool.tenants["t"]
+        while pool.has_pending_events():
+            pool.tick(1)
+            now = pool.now
+            if any(t.start == now for t in run.tasks.values()) or rng.random() < 0.3:
+                continue
+            if pool.down and rng.random() < 0.5:
+                proc = int(rng.choice(sorted(pool.down)))
+                pool.fault("recover", proc)
+                faults.append((now, "recover", proc))
+                continue
+            busy = sorted(
+                q for q, (_, task_id) in pool.proc_owner.items()
+                if run.tasks[task_id].start < now
+            )
+            if busy and len(pool.down) < P // 2:
+                proc = int(rng.choice(busy))
+                pool.fault("fail", proc)
+                faults.append((now, "fail", proc))
+        assert any(kind == "fail" for _, kind, _ in faults)
+        reference = ListScheduler(P, LpaAllocator(mu_for_family(family))).run(
+            graph,
+            faults=FaultTrace(faults),
+            retry=RetryPolicy(max_attempts=config.fault_max_attempts, backoff_base=0.25),
+        )
+        assert reference.killed_attempts() == pool.stats.killed
+        assert_matches(run, reference)
 
 
 class TestMultiTenant:
@@ -228,6 +315,19 @@ class TestFaults:
             pool.fault("fail", 0)
         with pytest.raises(ServiceError):
             pool.fault("recover", 1)
+
+
+    def test_rejected_fault_emits_nothing(self):
+        tracer = CollectingTracer()
+        pool = SharedPool(ServiceConfig(P=2, family="amdahl"), emit=tracer.emit)
+        for kind, proc in (("explode", 0), ("recover", 1), ("fail", 2)):
+            with pytest.raises(ServiceError):
+                pool.fault(kind, proc)
+        pool.fault("fail", 0)
+        with pytest.raises(ServiceError):
+            pool.fault("fail", 0)
+        injected = tracer.of_type(FaultInjected)
+        assert [(e.kind, e.processor) for e in injected] == [("fail", 0)]
 
 
 class TestDeadlines:
