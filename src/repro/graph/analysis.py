@@ -29,14 +29,8 @@ def minimum_total_area(graph: TaskGraph, P: int) -> float:
     return sum(task.model.a_min(P) for task in graph.tasks())
 
 
-def _min_length_to(graph: TaskGraph, P: int) -> dict[TaskId, float]:
-    """Longest path (in minimum execution times) ending at each task."""
-    t_min = {task.id: task.model.t_min(P) for task in graph.tasks()}
-    length: dict[TaskId, float] = {}
-    for u in graph.topological_order():
-        best_pred = max((length[p] for p in graph.predecessors(u)), default=0.0)
-        length[u] = best_pred + t_min[u]
-    return length
+def _min_times(graph: TaskGraph, P: int) -> dict[TaskId, float]:
+    return {task.id: task.model.t_min(P) for task in graph.tasks()}
 
 
 def minimum_critical_path(graph: TaskGraph, P: int) -> float:
@@ -48,7 +42,7 @@ def minimum_critical_path(graph: TaskGraph, P: int) -> float:
     P = check_positive_int(P, "P")
     if len(graph) == 0:
         return 0.0
-    return max(_min_length_to(graph, P).values())
+    return max(graph.longest_paths(_min_times(graph, P)).values())
 
 
 def critical_path_tasks(graph: TaskGraph, P: int) -> list[TaskId]:
@@ -56,22 +50,23 @@ def critical_path_tasks(graph: TaskGraph, P: int) -> list[TaskId]:
     P = check_positive_int(P, "P")
     if len(graph) == 0:
         return []
-    length = _min_length_to(graph, P)
-    t_min = {task.id: task.model.t_min(P) for task in graph.tasks()}
+    t_min = _min_times(graph, P)
+    length = graph.longest_paths(t_min)
     # Walk backwards from the task with the largest finishing length.
-    current = max(length, key=lambda t: length[t])
+    current = max(length, key=length.__getitem__)
     path = [current]
-    while graph.predecessors(current):
+    preds = graph.predecessors(current)
+    while preds:
         target = length[current] - t_min[current]
-        nxt = None
-        for p in graph.predecessors(current):
-            if abs(length[p] - target) <= 1e-12 * max(1.0, abs(target)):
-                nxt = p
+        tol = 1e-12 * max(1.0, abs(target))
+        for p in preds:
+            if abs(length[p] - target) <= tol:
+                current = p
                 break
-        if nxt is None:  # pragma: no cover - defensive; DP guarantees a match
-            nxt = max(graph.predecessors(current), key=lambda t: length[t])
-        path.append(nxt)
-        current = nxt
+        else:  # pragma: no cover - defensive; DP guarantees a match
+            current = max(preds, key=length.__getitem__)
+        path.append(current)
+        preds = graph.predecessors(current)
     path.reverse()
     return path
 

@@ -157,10 +157,14 @@ def layered_random(
             next_id += 1
         layers.append(layer)
     for i in range(1, n_layers):
+        above = layers[i - 1]
         for v in layers[i]:
-            preds = [u for u in layers[i - 1] if gen.random() < p]
+            # One row draw: the same bits as one ``gen.random()`` per
+            # candidate predecessor, in order.
+            draws = gen.random(len(above)).tolist()
+            preds = [u for u, r in zip(above, draws, strict=True) if r < p]
             if not preds:
-                preds = [layers[i - 1][int(gen.integers(len(layers[i - 1])))]]
+                preds = [above[int(gen.integers(len(above)))]]
             for u in preds:
                 g.add_edge(u, v)
     return g
@@ -185,9 +189,10 @@ def erdos_renyi_dag(
     for i in range(n):
         g.add_task(i, model_factory())
     if n > 1:
-        mask = gen.random((n, n)) < p
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mask[i, j]:
-                    g.add_edge(i, j)
+        # nonzero() is row-major, so the strict upper triangle's hits come
+        # in pair order (i ascending, then j).
+        rows, cols = np.nonzero(gen.random((n, n)) < p)
+        upper = rows < cols
+        for i, j in zip(rows[upper].tolist(), cols[upper].tolist(), strict=True):
+            g.add_edge(i, j)
     return g

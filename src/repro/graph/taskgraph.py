@@ -9,7 +9,7 @@ and from :mod:`networkx` lives in :mod:`repro.graph.io`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from repro.exceptions import CycleError, GraphError, UnknownTaskError
 from repro.graph.task import Task
@@ -99,15 +99,20 @@ class TaskGraph:
         Raises :class:`~repro.exceptions.CycleError` if the edge would close
         a directed cycle, leaving the graph unchanged.
         """
-        self._require(src)
-        self._require(dst)
+        succ = self._succ
+        if src not in succ:
+            raise UnknownTaskError(src)
+        if dst not in succ:
+            raise UnknownTaskError(dst)
         if src == dst:
             raise CycleError(f"self-loop on task {src!r}")
-        if dst in self._succ[src]:
+        out = succ[src]
+        if dst in out:
             return  # idempotent
-        if self._reaches(dst, src):
+        # A cycle needs a path back from dst, so dst must have successors.
+        if succ[dst] and self._reaches(dst, src):
             raise CycleError(f"edge {src!r} -> {dst!r} would create a cycle")
-        self._succ[src].append(dst)
+        out.append(dst)
         self._pred[dst].append(src)
         self._num_edges += 1
         self._version += 1
@@ -246,11 +251,21 @@ class TaskGraph:
         This is the quantity in Theorem 9's :math:`\\Omega(\\ln D)` bound.
         Returns 0 for an empty graph.
         """
-        depth: dict[TaskId, int] = {}
+        hops = self.longest_paths(dict.fromkeys(self._tasks, 1.0))
+        return int(max(hops.values(), default=0))
+
+    def longest_paths(self, weight: Mapping[TaskId, float]) -> dict[TaskId, float]:
+        """Heaviest path ending at each task, a task weighing ``weight[id]``.
+
+        One pass over the adjacency in :meth:`topological_order` (which is
+        also the order of the returned dict), with no per-task copy.
+        """
+        pred = self._pred
+        length: dict[TaskId, float] = {}
         for u in self.topological_order():
-            preds = self._pred[u]
-            depth[u] = 1 + max((depth[p] for p in preds), default=0)
-        return max(depth.values(), default=0)
+            preds = pred[u]
+            length[u] = (max([length[p] for p in preds]) if preds else 0.0) + weight[u]
+        return length
 
     def ancestors(self, task_id: TaskId) -> set[TaskId]:
         """Return every task that must complete before ``task_id`` can start."""

@@ -179,6 +179,9 @@ class SharedPool(SlotLoop):
         #: seq -> attempt of a killed attempt whose completion is still
         #: on the heap (the state digest lists every heap event).
         self._killed: dict[int, int] = {}
+        #: Active tenant -> its session deadline, for the tenants that set
+        #: one: the only ones the per-instant deadline check visits.
+        self._deadlines: dict[str, float] = {}
 
     @property
     def proc_owner(self) -> dict[int, tuple[str, str]]:
@@ -236,6 +239,8 @@ class SharedPool(SlotLoop):
             deadline=None if deadline is None else self.now + deadline,
         )
         self.tenants[tenant] = run
+        if run.deadline is not None:
+            self._deadlines[tenant] = run.deadline
         return run
 
     def submit(
@@ -294,6 +299,7 @@ class SharedPool(SlotLoop):
     def _finish(self, run: TenantRun, status: str) -> None:
         """End a tenant's run; its task ids become free for a later session."""
         run.status = status
+        self._deadlines.pop(run.tenant, None)
         self.checker.forget(task.id for task in run.tasks.values())
 
     def _graph_done_payload(self, run: TenantRun) -> dict[str, object]:
@@ -436,10 +442,11 @@ class SharedPool(SlotLoop):
     def _check_deadlines(self) -> list[Notification]:
         notes: list[Notification] = []
         now = self.now
-        for tenant in sorted(self.tenants):
-            run = self.tenants[tenant]
-            if run.active and run.deadline is not None and now >= run.deadline:
-                message = f"session deadline {run.deadline - run.t0:.6g} overran at t={now:.6g}"
+        # Name order fixes the order of the eviction notes.
+        for tenant, deadline in sorted(self._deadlines.items()):
+            if now >= deadline:
+                run = self.tenants[tenant]
+                message = f"session deadline {deadline - run.t0:.6g} overran at t={now:.6g}"
                 notes.extend(self._evict(run, "DEADLINE_EXCEEDED", message))
         return notes
 

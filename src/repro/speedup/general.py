@@ -52,8 +52,8 @@ class GeneralModel(SpeedupModel):
         self.w = check_positive(w, "w")
         self.d = check_nonnegative(d, "d")
         self.c = check_nonnegative(c, "c")
-        if max_parallelism is None:
-            self.max_parallelism: int | None = None
+        if max_parallelism is None or (type(max_parallelism) is int and max_parallelism >= 1):
+            self.max_parallelism: int | None = max_parallelism
         else:
             try:
                 is_integral = not isinstance(max_parallelism, bool) and (
@@ -73,7 +73,8 @@ class GeneralModel(SpeedupModel):
 
     # ------------------------------------------------------------------
     def time(self, p: int) -> float:
-        p = self._check_p(p)
+        if type(p) is not int or p < 1:  # else already a valid allocation
+            p = self._check_p(p)
         if self.max_parallelism is None:
             effective = p
         else:
@@ -113,7 +114,8 @@ class GeneralModel(SpeedupModel):
         the better of its floor and ceiling is then clamped by the
         parallelism bound :math:`\\tilde p` and the platform size ``P``.
         """
-        P = self._check_P(P)
+        if type(P) is not int or P < 1:
+            P = self._check_P(P)
         limit = P if self.max_parallelism is None else min(P, self.max_parallelism)
         if self.c == 0.0:
             # Time is non-increasing everywhere: use every useful processor.

@@ -4,11 +4,22 @@ The paper's evaluation is worst-case; its conclusion calls for an
 experimental study "using realistic workflows".  These factories draw task
 parameters from configurable distributions so the empirical benchmarks can
 populate workflow graphs with heterogeneous moldable tasks.
+
+Each range is validated, and a log-uniform range moved to log space, once
+per sampler: once per call of a ``random_*`` function, once per factory
+and work scale.  A uniform draw is then ``low + (high - low) *
+gen.random()``, which is NumPy's own formula for ``gen.uniform(low,
+high)`` without its per-call overhead, so every drawn number and the
+Generator's state after it are exactly those of ``gen.uniform``
+(``tests/graph/test_generator_stream.py`` holds the two together).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -36,7 +47,20 @@ def _rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _check_fraction_range(bounds: tuple[float, float], name: str) -> tuple[float, float]:
+#: Default ranges of the generators (the factories scale ``_WORK`` only).
+_WORK = (1.0, 100.0)
+_OVERHEAD = (0.001, 1.0)
+_FRACTION = (0.001, 0.3)
+_ROOFLINE_P = (1, 64)
+_GENERAL_P = (1, 256)
+
+#: A ``(low, high)`` range as the caller gives it.
+Bounds = tuple[float, float]
+#: ``(low, high - low)``: a validated range in the form the draws use.
+Span = tuple[float, float]
+
+
+def _check_fraction_range(bounds: Bounds, name: str) -> Span:
     """Validate a (low, high) fraction range *before* any RNG draw.
 
     Validating the range itself — rather than a value drawn from it — keeps
@@ -50,79 +74,155 @@ def _check_fraction_range(bounds: tuple[float, float], name: str) -> tuple[float
         raise InvalidParameterError(
             f"{name} range must satisfy 0 < low <= high < 1, got {bounds}"
         )
-    return float(lo), float(hi)
+    return float(lo), float(hi) - float(lo)
+
+
+def _check_log_range(bounds: Bounds) -> Span:
+    """Validate a log-uniform (low, high) range; return its log-space span.
+
+    ``np.log`` rather than ``math.log``: the bits must be those the draws
+    always used, ``gen.uniform(np.log(low), np.log(high))``.
+    """
+    low, high = bounds
+    if not 0 < low <= high < math.inf:
+        raise InvalidParameterError(f"need 0 < low <= high < inf, got ({low}, {high})")
+    log_low = float(np.log(low))
+    return log_low, float(np.log(high)) - log_low
 
 
 def _check_p_range(bounds: tuple[int, int], name: str) -> tuple[int, int]:
-    """Validate an integer (low, high) allocation range before any draw."""
+    """Validate an integer (low, high) allocation range before any draw.
+
+    Returns ``(low, high + 1)``, the half-open bounds of ``gen.integers``.
+    """
     lo = check_positive_int(bounds[0], f"{name}[0]")
     hi = check_positive_int(bounds[1], f"{name}[1]")
     if lo > hi:
         raise InvalidParameterError(f"{name} must be ordered, got {bounds}")
-    return lo, hi
+    return lo, hi + 1
 
 
-def _loguniform(rng: np.random.Generator, low: float, high: float) -> float:
-    if not 0 < low <= high:
-        raise InvalidParameterError(f"need 0 < low <= high, got ({low}, {high})")
-    return float(np.exp(rng.uniform(np.log(low), np.log(high))))
+def _uniform(gen: np.random.Generator, span: Span) -> float:
+    # NumPy's own formula for ``gen.uniform(low, high)``, without its
+    # per-call argument handling: the same draw, bit for bit.
+    return span[0] + span[1] * gen.random()
+
+
+def _loguniform(gen: np.random.Generator, span: Span) -> float:
+    return float(np.exp(_uniform(gen, span)))
+
+
+# Samplers: every range validated once, before any draw.
+_M = TypeVar("_M", bound=SpeedupModel)
+Sampler = Callable[[np.random.Generator], _M]
+
+
+def _roofline(w_range: Bounds, p_range: tuple[int, int]) -> Sampler[RooflineModel]:
+    p = _check_p_range(p_range, "p_range")
+    w = _check_log_range(w_range)
+
+    def draw(gen: np.random.Generator) -> RooflineModel:
+        work = _loguniform(gen, w)
+        return RooflineModel(work, int(gen.integers(*p)))
+
+    return draw
+
+
+def _communication(w_range: Bounds, c_range: Bounds) -> Sampler[CommunicationModel]:
+    w, c = _check_log_range(w_range), _check_log_range(c_range)
+
+    def draw(gen: np.random.Generator) -> CommunicationModel:
+        return CommunicationModel(_loguniform(gen, w), _loguniform(gen, c))
+
+    return draw
+
+
+def _amdahl(w_range: Bounds, sequential_fraction: Bounds) -> Sampler[AmdahlModel]:
+    frac = _check_fraction_range(sequential_fraction, "sequential_fraction")
+    w = _check_log_range(w_range)
+
+    def draw(gen: np.random.Generator) -> AmdahlModel:
+        work = _loguniform(gen, w)
+        f = _uniform(gen, frac)
+        return AmdahlModel(work * (1 - f), work * f)
+
+    return draw
+
+
+def _general(
+    w_range: Bounds, sequential_fraction: Bounds, c_range: Bounds, p_range: tuple[int, int] | None
+) -> Sampler[GeneralModel]:
+    frac = _check_fraction_range(sequential_fraction, "sequential_fraction")
+    p = None if p_range is None else _check_p_range(p_range, "p_range")
+    w, c = _check_log_range(w_range), _check_log_range(c_range)
+
+    def draw(gen: np.random.Generator) -> GeneralModel:
+        work = _loguniform(gen, w)
+        f = _uniform(gen, frac)
+        comm = _loguniform(gen, c)
+        p_tilde = None if p is None else int(gen.integers(*p))
+        return GeneralModel(work * (1 - f), d=work * f, c=comm, max_parallelism=p_tilde)
+
+    return draw
 
 
 def random_roofline(
     rng: int | np.random.Generator | None = None,
     *,
-    w_range: tuple[float, float] = (1.0, 100.0),
-    p_range: tuple[int, int] = (1, 64),
+    w_range: tuple[float, float] = _WORK,
+    p_range: tuple[int, int] = _ROOFLINE_P,
 ) -> RooflineModel:
     """Draw a roofline task: log-uniform work, uniform parallelism bound."""
-    lo, hi = _check_p_range(p_range, "p_range")
-    gen = _rng(rng)
-    w = _loguniform(gen, *w_range)
-    return RooflineModel(w, int(gen.integers(lo, hi + 1)))
+    return _roofline(w_range, p_range)(_rng(rng))
 
 
 def random_communication(
     rng: int | np.random.Generator | None = None,
     *,
-    w_range: tuple[float, float] = (1.0, 100.0),
-    c_range: tuple[float, float] = (0.001, 1.0),
+    w_range: tuple[float, float] = _WORK,
+    c_range: tuple[float, float] = _OVERHEAD,
 ) -> CommunicationModel:
     """Draw a communication-model task with log-uniform work and overhead."""
-    gen = _rng(rng)
-    return CommunicationModel(_loguniform(gen, *w_range), _loguniform(gen, *c_range))
+    return _communication(w_range, c_range)(_rng(rng))
 
 
 def random_amdahl(
     rng: int | np.random.Generator | None = None,
     *,
-    w_range: tuple[float, float] = (1.0, 100.0),
-    sequential_fraction: tuple[float, float] = (0.001, 0.3),
+    w_range: tuple[float, float] = _WORK,
+    sequential_fraction: tuple[float, float] = _FRACTION,
 ) -> AmdahlModel:
     """Draw an Amdahl task; ``d`` is a random fraction of the total work."""
-    frac_lo, frac_hi = _check_fraction_range(sequential_fraction, "sequential_fraction")
-    gen = _rng(rng)
-    w = _loguniform(gen, *w_range)
-    frac = float(gen.uniform(frac_lo, frac_hi))
-    return AmdahlModel(w * (1 - frac), w * frac)
+    return _amdahl(w_range, sequential_fraction)(_rng(rng))
 
 
 def random_general(
     rng: int | np.random.Generator | None = None,
     *,
-    w_range: tuple[float, float] = (1.0, 100.0),
-    sequential_fraction: tuple[float, float] = (0.001, 0.3),
-    c_range: tuple[float, float] = (0.001, 1.0),
-    p_range: tuple[int, int] | None = (1, 256),
+    w_range: tuple[float, float] = _WORK,
+    sequential_fraction: tuple[float, float] = _FRACTION,
+    c_range: tuple[float, float] = _OVERHEAD,
+    p_range: tuple[int, int] | None = _GENERAL_P,
 ) -> GeneralModel:
     """Draw a general (Equation (1)) task with all four parameters random."""
-    frac_lo, frac_hi = _check_fraction_range(sequential_fraction, "sequential_fraction")
-    p_bounds = None if p_range is None else _check_p_range(p_range, "p_range")
-    gen = _rng(rng)
-    w = _loguniform(gen, *w_range)
-    frac = float(gen.uniform(frac_lo, frac_hi))
-    c = _loguniform(gen, *c_range)
-    p_tilde = None if p_bounds is None else int(gen.integers(p_bounds[0], p_bounds[1] + 1))
-    return GeneralModel(w * (1 - frac), d=w * frac, c=c, max_parallelism=p_tilde)
+    return _general(w_range, sequential_fraction, c_range, p_range)(_rng(rng))
+
+
+@lru_cache(maxsize=256)
+def _factory_sampler(family: str, scale: float) -> Sampler[SpeedupModel]:
+    """``family``'s sampler at the default ranges, the work range times ``scale``.
+
+    Cached here rather than on the factories, so that a factory holds no
+    closure and stays picklable.
+    """
+    w_range = (_WORK[0] * scale, _WORK[1] * scale)
+    if family == "roofline":
+        return _roofline(w_range, _ROOFLINE_P)
+    if family == "communication":
+        return _communication(w_range, _OVERHEAD)
+    if family == "amdahl":
+        return _amdahl(w_range, _FRACTION)
+    return _general(w_range, _FRACTION, _OVERHEAD, _GENERAL_P)
 
 
 @dataclass
@@ -161,14 +261,7 @@ class RandomModelFactory:
         scale = self.work_scale
         if work_hint is not None:
             scale *= check_positive(work_hint, "work_hint")
-        w_range = (1.0 * scale, 100.0 * scale)
-        if self.family == "roofline":
-            return random_roofline(self._rng, w_range=w_range)
-        if self.family == "communication":
-            return random_communication(self._rng, w_range=w_range)
-        if self.family == "amdahl":
-            return random_amdahl(self._rng, w_range=w_range)
-        return random_general(self._rng, w_range=w_range)
+        return _factory_sampler(self.family, scale)(self._rng)
 
 
 @dataclass
@@ -203,11 +296,4 @@ class MixedModelFactory:
         scale = self.work_scale
         if work_hint is not None:
             scale *= check_positive(work_hint, "work_hint")
-        w_range = (1.0 * scale, 100.0 * scale)
-        if family == "roofline":
-            return random_roofline(self._rng, w_range=w_range)
-        if family == "communication":
-            return random_communication(self._rng, w_range=w_range)
-        if family == "amdahl":
-            return random_amdahl(self._rng, w_range=w_range)
-        return random_general(self._rng, w_range=w_range)
+        return _factory_sampler(family, scale)(self._rng)

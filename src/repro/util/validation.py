@@ -22,6 +22,13 @@ __all__ = [
 
 
 def _check_finite_real(value: object, name: str) -> float:
+    # Exact float/int first: skips the ``numbers.Real`` ABC check, the
+    # costly part for the plain Python numbers most callers pass.
+    if type(value) is float:
+        if math.isfinite(value):
+            return value
+    elif type(value) is int:
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
     value = float(value)

@@ -9,7 +9,8 @@ from repro.graph.analysis import (
     minimum_critical_path,
     minimum_total_area,
 )
-from repro.speedup import AmdahlModel, RooflineModel
+from repro.graph.generators import erdos_renyi_dag, layered_random
+from repro.speedup import AmdahlModel, RandomModelFactory, RooflineModel
 
 
 class TestMinimumTotalArea:
@@ -75,6 +76,22 @@ class TestCriticalPathTasks:
 
     def test_empty_graph(self):
         assert critical_path_tasks(TaskGraph(), 4) == []
+
+    @pytest.mark.parametrize("family", ["roofline", "communication", "amdahl", "general"])
+    def test_path_weight_is_c_min_on_random_graphs(self, family):
+        for seed in range(6):
+            factory = RandomModelFactory(family, seed=seed)
+            if seed % 2:
+                g = erdos_renyi_dag(30, factory, edge_probability=0.15, seed=seed)
+            else:
+                g = layered_random(6, 5, factory, edge_probability=0.3, seed=seed)
+            for P in (1, 16, 512):
+                path = critical_path_tasks(g, P)
+                assert path
+                for u, v in zip(path, path[1:], strict=False):
+                    assert v in g.successors(u)
+                total = sum(g.task(t).model.t_min(P) for t in path)
+                assert total == pytest.approx(minimum_critical_path(g, P), rel=1e-12)
 
 
 class TestGraphStats:

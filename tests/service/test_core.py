@@ -255,6 +255,27 @@ class TestSessionScope:
         recovered = ServiceCore.recover(journal, reopen=False)
         assert recovered.state_digest() == digest
 
+    def test_deadlines_overrun_at_one_instant_evict_in_name_order(self, tmp_path):
+        # Two sessions overrun at the same instant, t=5, when their first
+        # task ends and the second is still to run; a third has no
+        # deadline and must be left alone.  Admitted out of name order.
+        journal = tmp_path / "wal.jsonl"
+        core = ServiceCore(ServiceConfig(P=6, family="amdahl"), journal_path=journal)
+        for tenant, deadline in (("zed", 2.0), ("mid", None), ("amy", 2.0)):
+            core.hello(Hello(tenant=tenant, deadline=deadline))
+            core.submit(tenant, Submit(task="x", model=AmdahlModel(8.0, 1.0)))
+            core.submit(tenant, Submit(task="y", model=AmdahlModel(8.0, 1.0), deps=("x",)))
+            core.close(tenant)
+        notes = core.drain()
+        evicted = [(tenant, n["reason"]) for tenant, n in notes if n["event"] == "evicted"]
+        assert evicted == [("amy", "DEADLINE_EXCEEDED"), ("zed", "DEADLINE_EXCEEDED")]
+        assert {t: r.status for t, r in core.pool.tenants.items()} == {
+            "zed": "cancelled", "mid": "finished", "amy": "cancelled",
+        }
+        digest = core.state_digest()
+        core.close_journal()
+        assert ServiceCore.recover(journal, reopen=False).state_digest() == digest
+
     def reuse_after_cancel(self, tmp_path, *, kill):
         # Tenant "t" is cancelled while its task "a" runs (or waits to be
         # retried), re-admitted later and submits "a" again.  The first

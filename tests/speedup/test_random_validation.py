@@ -70,3 +70,23 @@ class TestErrorPathsPreserveRngState:
         b = random_general(123)
         assert a.w == b.w and a.d == b.d and a.c == b.c
         assert a.max_parallelism == b.max_parallelism
+
+
+class TestEveryRangeCheckedBeforeAnyDraw:
+    """Each range is validated before the first draw, the last one too."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"c_range": (1.0, 0.5)},
+            {"c_range": (0.0, 1.0)},
+            {"w_range": (5.0, 1.0)},
+            {"w_range": (1.0, float("inf"))},
+            {"p_range": (0, 4)},
+        ],
+    )
+    def test_general_rejects_without_consuming_draws(self, kwargs):
+        gen = np.random.default_rng(11)
+        with pytest.raises(InvalidParameterError):
+            random_general(gen, **kwargs)
+        assert gen.random() == np.random.default_rng(11).random()

@@ -2,12 +2,15 @@
 
 import math
 import re
+from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
 from repro.util.validation import (
+    _check_finite_real,
     check_in_range,
     check_nonnegative,
     check_positive,
@@ -122,3 +125,50 @@ class TestCheckInRange:
     def test_error_mentions_interval_style(self):
         with pytest.raises(InvalidParameterError, match=r"\(0.*1.*\)"):
             check_in_range(2.0, "x", 0.0, 1.0, low_open=True, high_open=True)
+
+
+def _reference_check_finite_real(value, name):
+    """The real-number check as it was before its exact-float/int fast path."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+class TestFiniteRealFastPathParity:
+    """The fast path accepts, converts and rejects exactly as the reference."""
+
+    VALUES = [
+        True, False, math.nan, math.inf, -math.inf, 0.0, -0.0, 2.5, -3.0, 1e308,
+        0, 7, -7, 10**20, np.float64(1.5), np.float64(math.nan), np.float64(-math.inf),
+        np.int64(3), np.float32(0.25), Fraction(1, 3),
+        "1", None, [1.0], complex(1, 0),
+    ]
+
+    @staticmethod
+    def outcome(fn, value):
+        try:
+            result = fn(value, "x")
+        except InvalidParameterError as exc:
+            return ("raises", str(exc))
+        return ("ok", type(result), repr(result))
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_same_outcome(self, value):
+        assert self.outcome(_check_finite_real, value) == self.outcome(
+            _reference_check_finite_real, value
+        )
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_public_checks_agree(self, value):
+        # The callers add their own range checks on top; the messages of
+        # the fast path's rejections reach the user through them.
+        ref = self.outcome(_reference_check_finite_real, value)
+        for check in (check_positive, check_nonnegative, check_probability):
+            got = self.outcome(check, value)
+            if ref[0] == "raises":
+                assert got == ref
+            else:
+                assert got[0] == "raises" or got[1] is float
