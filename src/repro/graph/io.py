@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import GraphError
 from repro.graph.taskgraph import TaskGraph
@@ -30,33 +30,40 @@ __all__ = [
 ]
 
 
+#: Each serializable model class and its dict form.  Exact types are looked
+#: up directly; a subclass takes the first entry it is an instance of, so
+#: the subclasses of ``GeneralModel`` come before it.
+_MODEL_DICTS: dict[type, Callable[[Any], dict[str, Any]]] = {
+    RooflineModel: lambda m: {
+        "kind": "roofline", "w": m.w, "max_parallelism": m.max_parallelism,
+    },
+    CommunicationModel: lambda m: {"kind": "communication", "w": m.w, "c": m.c},
+    AmdahlModel: lambda m: {"kind": "amdahl", "w": m.w, "d": m.d},
+    GeneralModel: lambda m: {
+        "kind": "general", "w": m.w, "d": m.d, "c": m.c,
+        "max_parallelism": m.max_parallelism,
+    },
+    PowerLawModel: lambda m: {"kind": "power", "w": m.w, "exponent": m.exponent},
+    LogParallelismModel: lambda m: {"kind": "log", "base": m.base},
+    TabulatedModel: lambda m: {"kind": "tabulated", "times": list(m._times)},
+}
+
+
 def model_to_dict(model: SpeedupModel) -> dict[str, Any]:
     """Serialize a speedup model to a plain dict (JSON-compatible).
 
     Supports the Equation (1) family, the power-law model, the Theorem-9
     log model, and tabulated models.  Callable models cannot be serialized.
     """
-    if isinstance(model, RooflineModel):
-        return {"kind": "roofline", "w": model.w, "max_parallelism": model.max_parallelism}
-    if isinstance(model, CommunicationModel):
-        return {"kind": "communication", "w": model.w, "c": model.c}
-    if isinstance(model, AmdahlModel):
-        return {"kind": "amdahl", "w": model.w, "d": model.d}
-    if isinstance(model, GeneralModel):
-        return {
-            "kind": "general",
-            "w": model.w,
-            "d": model.d,
-            "c": model.c,
-            "max_parallelism": model.max_parallelism,
-        }
-    if isinstance(model, PowerLawModel):
-        return {"kind": "power", "w": model.w, "exponent": model.exponent}
-    if isinstance(model, LogParallelismModel):
-        return {"kind": "log", "base": model.base}
-    if isinstance(model, TabulatedModel):
-        return {"kind": "tabulated", "times": list(model._times)}
-    raise GraphError(f"cannot serialize model of type {type(model).__name__}")
+    to_dict = _MODEL_DICTS.get(type(model))
+    if to_dict is None:
+        for cls, candidate in _MODEL_DICTS.items():
+            if isinstance(model, cls):
+                to_dict = candidate
+                break
+        else:
+            raise GraphError(f"cannot serialize model of type {type(model).__name__}")
+    return to_dict(model)
 
 
 def model_from_dict(data: dict[str, Any]) -> SpeedupModel:

@@ -20,12 +20,16 @@ Everything JSON already handles passes through untouched, so cache entries
 stay greppable.  :func:`canonical_json` fixes key order and separators, which
 makes :func:`content_digest` a stable content address: the same payload
 always hashes to the same key, on every platform and in every process.
+:func:`content_digest` hashes that text in pieces as it walks the value, so
+digesting a large state holds neither an encoded copy nor the whole string.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -33,6 +37,7 @@ import numpy as np
 from repro.exceptions import InvalidParameterError
 
 __all__ = [
+    "CANONICAL_ENCODER",
     "encode_value",
     "decode_value",
     "canonical_json",
@@ -43,6 +48,11 @@ __all__ = [
 TAG = "__repro__"
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
+
+#: The canonical JSON encoder: sorted keys, compact separators, ASCII text.
+#: Service wire lines and journal records are its output; the digest below
+#: hashes the same text.
+CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def encode_value(value: Any) -> Any:
@@ -66,7 +76,11 @@ def encode_value(value: Any) -> Any:
             TAG: "dict",
             "items": [[encode_value(k), encode_value(v)] for k, v in value.items()],
         }
-    raise InvalidParameterError(
+    raise InvalidParameterError(_unencodable(value))
+
+
+def _unencodable(value: Any) -> str:
+    return (
         f"cannot JSON-encode {type(value).__name__!r} value {value!r}; "
         "experiment data must hold str/int/float/bool/None, lists, tuples, "
         "dicts, or NumPy scalars/arrays"
@@ -97,5 +111,111 @@ def canonical_json(value: Any) -> str:
 
 
 def content_digest(value: Any) -> str:
-    """SHA-256 hex digest of ``value``'s canonical JSON — its content address."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+    """SHA-256 hex digest of ``value``'s canonical JSON — its content address.
+
+    Equal to ``sha256(canonical_json(value))``, but the text is produced in
+    pieces by walking ``value`` with :func:`encode_value`'s rules and fed to
+    the hash as it grows, so memory does not scale with ``value``.
+    """
+    sink = hashlib.sha256()
+    out: list[str] = []
+    _emit(value, out, sink)
+    sink.update("".join(out).encode("utf-8"))
+    return sink.hexdigest()
+
+
+#: Text pieces buffered before they are hashed.
+_FLUSH = 1024
+
+
+def _encode_float(value: float) -> str:
+    """A float as the JSON encoder writes it (``allow_nan`` literals)."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _emit(value: Any, out: list[str], sink: Any) -> None:
+    """Append ``canonical_json(value)`` to ``out`` piece by piece.
+
+    The exact JSON types take the fast branches below; everything else
+    follows :func:`encode_value` in :func:`_emit_other`.  Full buffers are
+    flushed into ``sink`` after each container.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+        return
+    if kind is int:
+        out.append(int.__repr__(value))
+        return
+    if kind is float:
+        out.append(_encode_float(value))
+        return
+    if kind is bool:
+        out.append("true" if value else "false")
+        return
+    if value is None:
+        out.append("null")
+        return
+    if kind is list:
+        _emit_items(value, out, sink)
+    elif kind is dict and TAG not in value and all(type(k) is str for k in value):
+        _emit_object(value, out, sink)
+    else:
+        _emit_other(value, out, sink)
+    if len(out) >= _FLUSH:
+        sink.update("".join(out).encode("utf-8"))
+        out.clear()
+
+
+def _emit_items(items: Any, out: list[str], sink: Any) -> None:
+    sep = "["
+    for item in items:
+        out.append(sep)
+        _emit(item, out, sink)
+        sep = ","
+    out.append("]" if items else "[]")
+
+
+def _emit_object(value: dict[str, Any], out: list[str], sink: Any) -> None:
+    sep = "{"
+    for key in sorted(value):
+        out.append(f"{sep}{encode_basestring_ascii(key)}:")
+        _emit(value[key], out, sink)
+        sep = ","
+    out.append("}" if value else "{}")
+
+
+def _emit_other(value: Any, out: list[str], sink: Any) -> None:
+    """:func:`encode_value`'s rules for everything but the exact JSON types."""
+    if isinstance(value, np.generic):  # np.float64, np.int64, np.bool_, ...
+        _emit(value.item(), out, sink)
+    elif isinstance(value, (str, int, float)):  # subclasses, e.g. an IntEnum
+        out.append(CANONICAL_ENCODER.encode(value))
+    elif isinstance(value, np.ndarray):
+        _emit(tuple(value.tolist()), out, sink)
+    elif isinstance(value, tuple):
+        out.append(f'{{"{TAG}":"tuple","items":')
+        _emit_items(value, out, sink)
+        out.append("}")
+    elif isinstance(value, list):
+        _emit_items(value, out, sink)
+    elif isinstance(value, dict):
+        if all(isinstance(k, str) for k in value) and TAG not in value:
+            _emit_object(value, out, sink)
+            return
+        out.append(f'{{"{TAG}":"dict","items":[')
+        for index, (key, item) in enumerate(value.items()):
+            out.append(",[" if index else "[")
+            _emit(key, out, sink)
+            out.append(",")
+            _emit(item, out, sink)
+            out.append("]")
+        out.append("]}")
+    else:
+        raise InvalidParameterError(_unencodable(value))

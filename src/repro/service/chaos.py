@@ -50,7 +50,7 @@ from repro.resilience.faults import ExponentialFaultModel, FaultEvent
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.core import ServiceCore
-from repro.service.journal import read_journal
+from repro.service.journal import iter_journal
 from repro.service.server import SchedulerServer
 from repro.speedup.random import RandomModelFactory
 
@@ -238,7 +238,7 @@ async def _fault_driver(
 
 def _verify_journal_tasks(journal_path: Path, core: ServiceCore, report: ChaosReport) -> None:
     """Invariant 3: recovered pool holds exactly the acknowledged tasks."""
-    _, mutations = read_journal(journal_path)
+    _, mutations = iter_journal(journal_path)
     acked: dict[str, list[str]] = {}
     for record in mutations:
         if record["op"] == "submit":

@@ -13,8 +13,8 @@ the same discipline:
    ``_apply`` dispatcher that journal recovery uses, so the live path and
    the replay path cannot drift apart.
 
-Recovery (:meth:`ServiceCore.recover`) reads the journal, rebuilds an
-identically-configured core, replays every mutation through ``_apply``,
+Recovery (:meth:`ServiceCore.recover`) streams the journal into an
+identically-configured core, replaying each mutation through ``_apply``,
 and reopens the journal for appending — after which
 :meth:`state_digest` of the recovered core equals that of the crashed
 one (the chaos harness's central assertion).
@@ -44,7 +44,7 @@ from repro.graph.io import model_from_dict, model_to_dict
 from repro.obs.events import SimEvent
 from repro.runtime.serialization import content_digest
 from repro.service.config import ServiceConfig, TenantQuota
-from repro.service.journal import JournalWriter, read_journal
+from repro.service.journal import JournalWriter, iter_journal
 from repro.service.pool import Notification, SharedPool
 from repro.service.protocol import Hello, Submit
 from repro.service.telemetry import ServiceTelemetry
@@ -435,21 +435,20 @@ class ServiceCore:
         """Rebuild a core from its journal (the crash-recovery path).
 
         Replays every acknowledged mutation through :meth:`_apply` on a
-        fresh pool, then (with ``reopen=True``) reattaches the journal
-        for continued appends.  Raises
-        :class:`~repro.exceptions.JournalCorruptError` on any journal
-        damage other than one torn tail line.
+        fresh pool as it is read, so recovery holds the pool's state and
+        one journal record, never the whole journal; then (with
+        ``reopen=True``) reattaches the journal for continued appends.
+        Raises :class:`~repro.exceptions.JournalCorruptError` on any
+        journal damage other than one torn tail line, when the reader
+        reaches it; the partly replayed core is dropped.
         """
-        config, mutations = read_journal(journal_path)
+        config, mutations = iter_journal(journal_path)
         core = cls(config, journal_path=None, emit=emit)
-        for record in mutations:
-            payload = {
-                k: v for k, v in record.items() if k not in ("kind", "seq", "op")
-            }
-            core.telemetry.record_journal(
-                core.pool.now, str(record["op"]), int(record["seq"]), "replay"
-            )
-            core._apply(str(record["op"]), payload)
+        for payload in mutations:
+            del payload["kind"]
+            op = str(payload.pop("op"))
+            core.telemetry.record_journal(core.pool.now, op, int(payload.pop("seq")), "replay")
+            core._apply(op, payload)
         if reopen:
             core.journal = JournalWriter(journal_path, config)
         return core

@@ -21,6 +21,10 @@ since the corresponding request was never acknowledged).  Any undecodable
 or out-of-order record *before* the tail means real corruption and raises
 :class:`~repro.exceptions.JournalCorruptError` — recovery must never
 silently skip acknowledged mutations.
+
+Reading streams: :func:`iter_journal` validates records as they are read,
+one line ahead of the caller, so recovery and reopening hold one record
+at a time rather than the whole journal.
 """
 
 from __future__ import annotations
@@ -29,15 +33,19 @@ import io
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Generator, Mapping
 
 from repro.exceptions import JournalCorruptError
 from repro.service.config import ServiceConfig
+from repro.service.protocol import encode_line
 
-__all__ = ["JournalWriter", "read_journal", "scan_records", "JOURNAL_VERSION"]
+__all__ = ["JournalWriter", "iter_journal", "read_journal", "scan_records", "JOURNAL_VERSION"]
 
 #: Format version recorded in (and checked against) the header.
 JOURNAL_VERSION = 1
+
+#: A stream of decoded journal records.
+Records = Generator[dict[str, Any], None, None]
 
 
 class JournalWriter:
@@ -56,14 +64,14 @@ class JournalWriter:
         self._fsync = config.journal_fsync
         self.records_written = 0
         if self.path.exists() and self.path.stat().st_size > 0:
-            header, mutations = read_journal(self.path)
+            header, mutations = iter_journal(self.path)
             if header.as_dict() != config.as_dict():
+                mutations.close()
                 raise JournalCorruptError(
                     f"journal {self.path} was written by a differently "
                     "configured service; refusing to append"
                 )
-            self._seq = (mutations[-1]["seq"] + 1) if mutations else 0
-            self._reopen_truncated(header, mutations)
+            self._seq = self._reopen_truncated(header, mutations)
         else:
             self._seq = 0
             self._fh: io.BufferedWriter = open(self.path, "ab")
@@ -75,26 +83,35 @@ class JournalWriter:
                 }
             )
 
-    def _reopen_truncated(self, header: ServiceConfig, mutations: list[dict[str, Any]]) -> None:
+    def _reopen_truncated(self, header: ServiceConfig, mutations: Records) -> int:
         """Rewrite the journal without any torn tail, then append to it.
 
         The tail line (if any) belongs to a request that was never
         acknowledged, so dropping it is correct — and keeping the file
         clean means every *future* reader sees only whole records.
+        Records are copied as they are read; if the journal turns out to
+        be corrupt, the copy is removed and the journal is left as it was.
+        Returns the next sequence number.
         """
         tmp = self.path.with_suffix(self.path.suffix + ".reopen")
-        with open(tmp, "wb") as fh:
-            fh.write(_encode({"kind": "header", "version": JOURNAL_VERSION,
-                              "config": header.as_dict()}))
-            for record in mutations:
-                fh.write(_encode(record))
-            fh.flush()
-            os.fsync(fh.fileno())
+        seq = 0
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(encode_line({"kind": "header", "version": JOURNAL_VERSION,
+                                      "config": header.as_dict()}))
+                for seq, record in enumerate(mutations, start=1):
+                    fh.write(encode_line(record))
+                fh.flush()
+                os.fsync(fh.fileno())
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         os.replace(tmp, self.path)
         self._fh = open(self.path, "ab")
+        return seq
 
     def _write(self, record: Mapping[str, Any]) -> None:
-        self._fh.write(_encode(record))
+        self._fh.write(encode_line(record))
         self._fh.flush()
         if self._fsync:
             os.fsync(self._fh.fileno())
@@ -133,47 +150,60 @@ class JournalWriter:
         self.close()
 
 
-def _encode(record: Mapping[str, Any]) -> bytes:
-    return json.dumps(dict(record), sort_keys=True, separators=(",", ":")).encode() + b"\n"
-
-
-def scan_records(path: str | Path) -> Iterator[dict[str, Any]]:
+def scan_records(path: str | Path) -> Records:
     """Yield decoded records, silently dropping one torn tail line.
 
     A line that fails to decode is tolerated **only** when it is the last
     line of the file (a torn write from a crash); anywhere else it raises
     :class:`~repro.exceptions.JournalCorruptError` with its line number.
+    The file is read one line ahead of the record being decoded, which is
+    all it takes to tell the last line from the others.
     """
     with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()  # trailing newline of the last complete record
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            record = json.loads(raw.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError(f"record is {type(record).__name__}, not object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            if lineno == len(lines):
-                return  # torn tail: the write never completed, drop it
-            raise JournalCorruptError(
-                f"{path}: undecodable record at line {lineno}: {exc}"
-            ) from exc
-        yield record
+        line = fh.readline()
+        lineno = 1
+        while line:
+            following = fh.readline()
+            raw = line[:-1] if line.endswith(b"\n") else line
+            try:
+                record = json.loads(raw.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise ValueError(f"record is {type(record).__name__}, not object")
+            except (ValueError, UnicodeDecodeError) as exc:
+                if not following:
+                    return  # torn tail: the write never completed, drop it
+                raise JournalCorruptError(
+                    f"{path}: undecodable record at line {lineno}: {exc}"
+                ) from exc
+            yield record
+            line = following
+            lineno += 1
 
 
-def read_journal(path: str | Path) -> tuple[ServiceConfig, list[dict[str, Any]]]:
-    """Read and validate a journal: header config + ordered mutations.
+def iter_journal(path: str | Path) -> tuple[ServiceConfig, Records]:
+    """Validate the header now; validate and yield the mutations as read.
 
-    Validates the header (presence, version, config), the ``kind`` of
-    every record, and that mutation sequence numbers are exactly
-    ``0, 1, 2, ...`` — a gap means an acknowledged mutation is missing
-    and the journal cannot be trusted.
+    The header must be present, of this format version, and carry a valid
+    config.  Each mutation must be of ``kind`` ``mutation``, carry an
+    ``op`` tag, and have sequence number ``0, 1, 2, ...`` in file order —
+    a gap means an acknowledged mutation is missing and the journal
+    cannot be trusted.  A fault raises
+    :class:`~repro.exceptions.JournalCorruptError` when the reader reaches
+    it, so a consumer sees every record before the fault first.
     """
-    records = list(scan_records(path))
-    if not records:
+    records = scan_records(path)
+    header = next(records, None)
+    if header is None:
         raise JournalCorruptError(f"{path}: empty journal (no header record)")
-    header = records[0]
+    try:
+        config = _header_config(path, header)
+    except JournalCorruptError:
+        records.close()
+        raise
+    return config, _mutations(path, records)
+
+
+def _header_config(path: str | Path, header: dict[str, Any]) -> ServiceConfig:
     if header.get("kind") != "header":
         raise JournalCorruptError(
             f"{path}: first record is {header.get('kind')!r}, expected header"
@@ -187,23 +217,33 @@ def read_journal(path: str | Path) -> tuple[ServiceConfig, list[dict[str, Any]]]
     if not isinstance(config_payload, dict):
         raise JournalCorruptError(f"{path}: header carries no config object")
     try:
-        config = ServiceConfig.from_dict(config_payload)
+        return ServiceConfig.from_dict(config_payload)
     except Exception as exc:
         raise JournalCorruptError(f"{path}: invalid header config: {exc}") from exc
-    mutations: list[dict[str, Any]] = []
-    for record in records[1:]:
+
+
+def _mutations(path: str | Path, records: Records) -> Records:
+    for expected, record in enumerate(records):
         if record.get("kind") != "mutation":
             raise JournalCorruptError(
                 f"{path}: unexpected record kind {record.get('kind')!r} "
                 f"after the header"
             )
         seq = record.get("seq")
-        if seq != len(mutations):
+        if seq != expected:
             raise JournalCorruptError(
-                f"{path}: mutation seq {seq!r} where {len(mutations)} was "
+                f"{path}: mutation seq {seq!r} where {expected} was "
                 "expected (missing or reordered acknowledged mutation)"
             )
         if not isinstance(record.get("op"), str):
             raise JournalCorruptError(f"{path}: mutation {seq} has no op tag")
-        mutations.append(record)
-    return config, mutations
+        yield record
+
+
+def read_journal(path: str | Path) -> tuple[ServiceConfig, list[dict[str, Any]]]:
+    """Read and validate a whole journal: header config + ordered mutations.
+
+    :func:`iter_journal` with the mutations collected into a list.
+    """
+    config, mutations = iter_journal(path)
+    return config, list(mutations)

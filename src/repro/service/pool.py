@@ -72,7 +72,7 @@ class PoolStats:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class PoolTask:
     """One tenant task tracked by the pool across its whole lifecycle."""
 
@@ -259,7 +259,9 @@ class SharedPool(SlotLoop):
         if task_id in run.tasks:
             raise ServiceError(f"task {task_id!r} submitted twice by {tenant!r}")
         limit = run.quota.max_running_procs
-        task = PoolTask(tenant, task_id, model, len(self.tasks), limit or self.P)
+        # ``run.tenant``, not the caller's string: on replay that is a
+        # fresh copy decoded from each journal record.
+        task = PoolTask(run.tenant, task_id, model, len(self.tasks), limit or self.P)
         for dep in deps:
             pred = run.tasks.get(dep)
             if pred is None:

@@ -41,6 +41,7 @@ from typing import Any, Mapping
 
 from repro.exceptions import ProtocolError
 from repro.graph.io import model_from_dict, model_to_dict
+from repro.runtime.serialization import CANONICAL_ENCODER
 from repro.speedup.base import SpeedupModel
 
 __all__ = [
@@ -377,8 +378,8 @@ def response_from_dict(payload: Mapping[str, Any]) -> Response:
 # Line codec
 # ----------------------------------------------------------------------
 def encode_line(payload: Mapping[str, Any]) -> bytes:
-    """One wire line: compact JSON + newline, UTF-8."""
-    return json.dumps(dict(payload), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    """One wire line (and one journal record): canonical JSON + newline."""
+    return CANONICAL_ENCODER.encode(dict(payload)).encode() + b"\n"
 
 
 def decode_line(line: bytes | str) -> dict[str, Any]:

@@ -44,6 +44,21 @@ class TestModelRoundTrip:
         for p in (1, 2, 5, 16):
             assert clone.time(p) == pytest.approx(model.time(p))
 
+    @pytest.mark.parametrize(
+        "base, args, kind",
+        [
+            (RooflineModel, (5.0, 4), "roofline"),
+            (AmdahlModel, (5.0, 1.0), "amdahl"),
+            (GeneralModel, (5.0,), "general"),
+            (TabulatedModel, ([3.0, 2.0],), "tabulated"),
+        ],
+    )
+    def test_subclass_serializes_as_its_nearest_known_base(self, base, args, kind):
+        subclass = type(f"My{base.__name__}", (base,), {})
+        data = model_to_dict(subclass(*args))
+        assert data == model_to_dict(base(*args))
+        assert data["kind"] == kind
+
     def test_callable_not_serializable(self):
         with pytest.raises(GraphError):
             model_to_dict(CallableModel(lambda p: 1.0))

@@ -1,12 +1,18 @@
 """The JSON codec must invert exactly on everything experiments produce."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import InvalidParameterError
 from repro.runtime.serialization import (
+    CANONICAL_ENCODER,
+    TAG,
     canonical_json,
     content_digest,
     decode_value,
@@ -102,3 +108,104 @@ class TestDigest:
     def test_canonical_json_is_compact_and_sorted(self):
         text = canonical_json({"b": 1, "a": 2})
         assert text == '{"a":2,"b":1}'
+
+
+def reference_digest(value):
+    """The digest as the one-shot canonical text defines it."""
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+
+
+_texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
+    ["", "é", "日本", "\u2028", "a\"b\\c", "\n\t", "\x00", "😀"]
+)
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e308, 5e-324]
+)
+_numpy_scalars = st.one_of(
+    _floats.map(np.float64),
+    st.floats(width=32, allow_nan=True).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans().map(np.bool_),
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _floats, _texts, _numpy_scalars
+)
+_values = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_texts, children, max_size=5),
+        st.dictionaries(st.integers(-5, 5), children, max_size=4),
+        st.dictionaries(_texts, children, max_size=3).map(lambda d: {TAG: "x", **d}),
+    ),
+    max_leaves=25,
+)
+
+
+class TestStreamedDigest:
+    """``content_digest`` hashes ``canonical_json`` without building it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_equals_digest_of_canonical_json(self, value):
+        assert content_digest(value) == reference_digest(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": [], "b": {}, "c": (), "d": [[]], "e": [{}]},
+            {"x": np.array([[1.0, 2.0], [3.0, 4.0]])},
+            {"n": np.array([], dtype=float)},
+            {(1, "a"): {2.5: None}, None: True},
+            {"__repro__": "tuple", "items": [1]},
+            [float("nan"), -0.0, float("-inf"), np.float64("nan")],
+            {"é": "ü", "k\u2028": "\U0001f600"},
+            2**100,
+            "plain",
+        ],
+    )
+    def test_edge_cases(self, value):
+        assert content_digest(value) == reference_digest(value)
+
+    def test_subclassed_scalars_and_containers(self):
+        from collections import OrderedDict, namedtuple
+        from enum import IntEnum
+
+        class Level(IntEnum):
+            LOW = 1
+
+        class Name(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+        value = OrderedDict(
+            [("z", Level.LOW), (Name("k"), Name("v")), ("p", Pair(1, 2.0)), ("y", np.str_("s"))]
+        )
+        assert content_digest(value) == reference_digest(value)
+
+    def test_long_input_crosses_the_flush_boundary(self):
+        value = {"rows": [[i, float(i) / 3, f"t{i}"] for i in range(5000)]}
+        assert content_digest(value) == reference_digest(value)
+
+    def test_unencodable_type_rejected(self):
+        with pytest.raises(InvalidParameterError, match="cannot JSON-encode"):
+            content_digest({"ok": [1, 2], "bad": object()})
+
+    def test_memory_does_not_hold_the_text(self):
+        value = {f"task{i}": {"state": "done", "start": i * 0.5, "deps": [str(i)]}
+                 for i in range(20_000)}
+        text_bytes = len(canonical_json(value))
+        tracemalloc.start()
+        try:
+            content_digest(value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text_bytes > 1_000_000
+        assert peak < text_bytes / 4
+
+    def test_encoder_matches_canonical_json(self):
+        value = {"b": [1, 2.5, None], "a": {"é": float("inf")}}
+        assert CANONICAL_ENCODER.encode(value) == canonical_json(value)
