@@ -19,11 +19,12 @@ Models that :func:`repro.core.lpa_batch.eq1_eligible` admits (un-overridden
 ``GeneralModel`` math with the monotonic hint set: roofline, communication,
 Amdahl, general) take :meth:`LpaAllocator._initial_eq1`, which reads
 ``(w, d, c, p̃)`` once and evaluates Equation (1) inline instead of calling
-``model.time`` per probe.  It uses the same float expressions and the same
-bisection iterates as ``GeneralModel.max_useful_processors`` +
-:meth:`LpaAllocator._initial_monotonic`, so its decisions are bit-identical
-to that generic path, which stays the only path for every other model and
-the oracle of ``tests/core/test_eq1_path.py``.  Subclasses that override a
+``model.time`` per probe.  It uses the same float expressions as
+``GeneralModel.max_useful_processors`` + :meth:`LpaAllocator._initial_monotonic`
+and, for ``c = 0``, proposes each boundary in closed form and keeps it only
+once the probes around it confirm it, so it makes the same decisions as
+that generic path, which stays the only path for every other model and the
+oracle of ``tests/core/test_eq1_path.py``.  Subclasses that override a
 decision method always get the generic path.
 
 The allocation is a pure function of ``(model, P)``, so the engine calls
@@ -134,11 +135,15 @@ class LpaAllocator(Allocator):
     def allocate(
         self, model: SpeedupModel, P: int, *, free: int | None = None
     ) -> Allocation:
-        P = check_positive_int(P, "P")
-        initial = self.initial_allocation(model, P)
+        if type(P) is not int or P < 1:
+            P = check_positive_int(P, "P")
         cap = math.ceil(self.mu * P)
-        final = cap if initial > cap else initial
-        return Allocation(initial=initial, final=final)
+        if self._own_decisions and eq1_eligible(model):
+            # 1 <= initial <= p_max and 1 <= cap: valid by construction.
+            initial = self._initial_eq1(model, P)
+            return Allocation._trusted(initial, cap if initial > cap else initial)
+        initial = self.initial_allocation(model, P)
+        return Allocation(initial=initial, final=cap if initial > cap else initial)
 
     def explain(self, model: SpeedupModel, P: int) -> AllocationExplanation:
         """The :math:`\\alpha_p`/:math:`\\beta_p` ratios behind ``allocate``.
@@ -216,8 +221,10 @@ class LpaAllocator(Allocator):
         The scalar twin of :func:`repro.core.lpa_batch.lpa_decide_eq1`:
         ``GeneralModel.max_useful_processors`` then :meth:`_initial_monotonic`
         with ``time(p) = w / min(p, p̃) + d + c * (p - 1)`` written out
-        inline, so every comparison sees the same floats and both
-        bisections walk the same integer iterates.  Probes are ints in
+        inline, so every comparison sees the same floats.  For ``c = 0``
+        a closed-form boundary that its neighbouring probes confirm is the
+        one the monotone bisection reaches; a guess that fails its check
+        runs the bisection.  Probes are ints in
         ``[1, p_max]`` and skip ``SpeedupModel._check_p``; ``P`` is
         validated once.
         """
@@ -231,17 +238,25 @@ class LpaAllocator(Allocator):
         if c != 0.0:
             s = math.sqrt(w / c)
             lo = max(1, math.floor(s))
-            hi = max(1, math.ceil(s))
-            t_lo = w / min(lo, pt) + d + c * (lo - 1)
-            t_hi = w / min(hi, pt) + d + c * (hi - 1)
-            p_max = min(p_max, lo if t_lo <= t_hi else hi)
+            if lo < p_max:  # else both candidates clamp to p_max
+                # hi <= lo + 1 <= p_max <= p̃, so min(p, p̃) is p for both.
+                hi = max(1, math.ceil(s))
+                p_max = lo if w / lo + d + c * (lo - 1) <= w / hi + d + c * (hi - 1) else hi
         # From here on every probe p lies in [1, p_max] ⊆ [1, p̃], where
         # min(p, p̃) is p itself.
         t_min = w / p_max + d + c * (p_max - 1)
         threshold = self.delta * t_min * (1.0 + self.rtol)
+        p_lo = 0
         if w / 1 + d + c * 0 <= threshold:
             p_lo = 1
-        else:
+        elif c == 0.0 and threshold > d:
+            # t(p) = fl(fl(w/p) + d) is non-increasing: a verified boundary
+            # is the bisection's, which also takes p_max as feasible unprobed.
+            q = w / (threshold - d)
+            g = p_max if q >= p_max else max(2, math.ceil(q))
+            if (g == 2 or w / (g - 1) + d > threshold) and (g == p_max or w / g + d <= threshold):
+                p_lo = g
+        if not p_lo:
             lo, hi = 1, p_max
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -253,6 +268,16 @@ class LpaAllocator(Allocator):
         area_budget = p_lo * (w / p_lo + d + c * (p_lo - 1)) * (1.0 + self.rtol)
         if p_max * t_min <= area_budget:
             return p_max
+        if c == 0.0 and d > 1e-15 * (w + (p_max + 1) * d):
+            # The float p * (w/p + d) is within 3.01 ulp of w + p*d, under
+            # half its step d: the area is non-decreasing, so a verified
+            # plateau end in [p_lo, p_max) is the bisection's.
+            q = (area_budget - w) / d
+            g = p_max - 1 if q >= p_max - 1 else max(p_lo, math.floor(q))
+            if g * (w / g + d) <= area_budget and (
+                g + 1 == p_max or (g + 1) * (w / (g + 1) + d) > area_budget
+            ):
+                return g
         lo, hi = p_lo, p_max
         while hi - lo > 1:
             mid = (lo + hi) // 2

@@ -7,11 +7,12 @@ Python-side :meth:`~repro.sim.allocation.Allocator.allocate_cached` call
 whole LPA α/β decision runs as array math over *all* eligible groups at
 once: closed-form :math:`p^{\\max}` per Equation (5), the time-ratio
 feasibility bisection, and the area-plateau bisection — each lane
-advancing through exactly the scalar algorithm's iterates, together.
+advancing through exactly the iterates of the generic scalar search
+(``LpaAllocator._initial_monotonic``), together.
 
 **Bit-identity argument.**  Every float a lane produces is the same
 IEEE-754 double operation, in the same order, on the same operands as
-:class:`~repro.core.allocator.LpaAllocator`'s scalar path:
+:class:`~repro.core.allocator.LpaAllocator`'s generic scalar path:
 
 * :func:`eq1_time` mirrors ``GeneralModel.time``'s expression tree
   (``w / min(p, p̃) + d + c * (p - 1)``); integer processor counts
@@ -21,7 +22,7 @@ IEEE-754 double operation, in the same order, on the same operands as
   match;
 * both bisections compute ``mid = (lo + hi) // 2`` on integers and
   branch on the same comparisons, so each lane's (lo, hi) trajectory is
-  the scalar trajectory.
+  the generic search's trajectory.
 
 Eligibility is *proven*, not assumed: :func:`eq1_eligible` admits only
 models whose ``time``/``area``/``max_useful_processors`` are literally
@@ -30,8 +31,9 @@ mirrors (subclass overrides fall back to the scalar allocator), and
 :meth:`LpaAllocator.allocate_batch` declines entirely when *its own*
 decision methods are overridden.  The same predicate routes single
 decisions to :meth:`LpaAllocator._initial_eq1`, the scalar twin of
-:func:`lpa_decide_eq1`.  The parity tests sweep every speedup model
-against ``allocate_cached``, and the scalar twin against the generic
+:func:`lpa_decide_eq1` (same decisions; for ``c = 0`` not the same
+iterates).  The parity tests sweep every speedup model against
+``allocate_cached``, and the scalar twin against the generic
 ``max_useful_processors`` + ``_initial_monotonic`` path, which remains
 the bit-identity oracle.
 """

@@ -44,7 +44,7 @@ from repro.graph.io import model_from_dict, model_to_dict
 from repro.obs.events import SimEvent
 from repro.runtime.serialization import content_digest
 from repro.service.config import ServiceConfig, TenantQuota
-from repro.service.journal import JournalWriter, iter_journal
+from repro.service.journal import JournalTail, JournalWriter, iter_journal
 from repro.service.pool import Notification, SharedPool
 from repro.service.protocol import Hello, Submit
 from repro.service.telemetry import ServiceTelemetry
@@ -440,9 +440,11 @@ class ServiceCore:
         ``reopen=True``) reattaches the journal for continued appends.
         Raises :class:`~repro.exceptions.JournalCorruptError` on any
         journal damage other than one torn tail line, when the reader
-        reaches it; the partly replayed core is dropped.
+        reaches it; the partly replayed core is dropped.  The reopened
+        writer resumes where the replay's scan ended.
         """
-        config, mutations = iter_journal(journal_path)
+        tail = JournalTail()
+        config, mutations = iter_journal(journal_path, tail)
         core = cls(config, journal_path=None, emit=emit)
         for payload in mutations:
             del payload["kind"]
@@ -450,5 +452,5 @@ class ServiceCore:
             core.telemetry.record_journal(core.pool.now, op, int(payload.pop("seq")), "replay")
             core._apply(op, payload)
         if reopen:
-            core.journal = JournalWriter(journal_path, config)
+            core.journal = JournalWriter(journal_path, config, tail=tail)
         return core

@@ -24,7 +24,8 @@ silently skip acknowledged mutations.
 
 Reading streams: :func:`iter_journal` validates records as they are read,
 one line ahead of the caller, so recovery and reopening hold one record
-at a time rather than the whole journal.
+at a time rather than the whole journal, and a :class:`JournalTail` lets
+recovery reopen the journal for appending without reading it again.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Generator, Mapping
 
@@ -39,7 +41,8 @@ from repro.exceptions import JournalCorruptError
 from repro.service.config import ServiceConfig
 from repro.service.protocol import encode_line
 
-__all__ = ["JournalWriter", "iter_journal", "read_journal", "scan_records", "JOURNAL_VERSION"]
+__all__ = ["JournalTail", "JournalWriter", "iter_journal", "read_journal", "scan_records",
+           "JOURNAL_VERSION"]
 
 #: Format version recorded in (and checked against) the header.
 JOURNAL_VERSION = 1
@@ -48,30 +51,48 @@ JOURNAL_VERSION = 1
 Records = Generator[dict[str, Any], None, None]
 
 
+@dataclass
+class JournalTail:
+    """Where an exhausted :func:`scan_records` left the last whole record:
+    the byte offset past its line, whether the line has its newline, and
+    the number of records up to it, header included."""
+
+    offset: int = 0
+    newline: bool = True
+    records: int = 0
+
+
 class JournalWriter:
     """Append-only journal with write-ahead semantics.
 
     ``append`` returns only after the record is written and flushed
     (``fsync``'d too when the config demands it); callers acknowledge the
     client strictly *after* ``append`` returns.  Reopening an existing
-    journal validates the header, replays nothing, truncates a torn tail,
-    and continues the sequence where the file left off.
+    journal validates it, replays nothing, truncates a torn tail in place,
+    and continues the sequence; recovery, which has just validated the
+    journal itself, passes its scan's ``tail`` instead.
     """
 
-    def __init__(self, path: str | Path, config: ServiceConfig) -> None:
+    def __init__(
+        self, path: str | Path, config: ServiceConfig, *, tail: JournalTail | None = None
+    ) -> None:
         self.path = Path(path)
         self.config = config
         self._fsync = config.journal_fsync
         self.records_written = 0
-        if self.path.exists() and self.path.stat().st_size > 0:
-            header, mutations = iter_journal(self.path)
+        if tail is None and self.path.exists() and self.path.stat().st_size > 0:
+            tail = JournalTail()
+            header, mutations = iter_journal(self.path, tail)
             if header.as_dict() != config.as_dict():
                 mutations.close()
                 raise JournalCorruptError(
                     f"journal {self.path} was written by a differently "
                     "configured service; refusing to append"
                 )
-            self._seq = self._reopen_truncated(header, mutations)
+            for _ in mutations:
+                pass
+        if tail is not None:
+            self._seq = self._resume(tail)
         else:
             self._seq = 0
             self._fh: io.BufferedWriter = open(self.path, "ab")
@@ -83,32 +104,21 @@ class JournalWriter:
                 }
             )
 
-    def _reopen_truncated(self, header: ServiceConfig, mutations: Records) -> int:
-        """Rewrite the journal without any torn tail, then append to it.
+    def _resume(self, tail: JournalTail) -> int:
+        """Append after the last whole record; returns the next sequence number.
 
-        The tail line (if any) belongs to a request that was never
-        acknowledged, so dropping it is correct — and keeping the file
-        clean means every *future* reader sees only whole records.
-        Records are copied as they are read; if the journal turns out to
-        be corrupt, the copy is removed and the journal is left as it was.
-        Returns the next sequence number.
+        A torn tail line (a request never acknowledged) is truncated away,
+        and a last record missing its newline gets one, so every *future*
+        reader sees only whole records.
         """
-        tmp = self.path.with_suffix(self.path.suffix + ".reopen")
-        seq = 0
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(encode_line({"kind": "header", "version": JOURNAL_VERSION,
-                                      "config": header.as_dict()}))
-                for seq, record in enumerate(mutations, start=1):
-                    fh.write(encode_line(record))
-                fh.flush()
-                os.fsync(fh.fileno())
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        os.replace(tmp, self.path)
         self._fh = open(self.path, "ab")
-        return seq
+        if self._fh.tell() != tail.offset or not tail.newline:
+            self._fh.truncate(tail.offset)
+            if not tail.newline:
+                self._fh.write(b"\n")
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+        return tail.records - 1
 
     def _write(self, record: Mapping[str, Any]) -> None:
         self._fh.write(encode_line(record))
@@ -150,18 +160,20 @@ class JournalWriter:
         self.close()
 
 
-def scan_records(path: str | Path) -> Records:
+def scan_records(path: str | Path, tail: JournalTail | None = None) -> Records:
     """Yield decoded records, silently dropping one torn tail line.
 
     A line that fails to decode is tolerated **only** when it is the last
     line of the file (a torn write from a crash); anywhere else it raises
     :class:`~repro.exceptions.JournalCorruptError` with its line number.
     The file is read one line ahead of the record being decoded, which is
-    all it takes to tell the last line from the others.
+    all it takes to tell the last line from the others.  ``tail`` is
+    moved past each record before it is yielded.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
         lineno = 1
+        offset = 0
         while line:
             following = fh.readline()
             raw = line[:-1] if line.endswith(b"\n") else line
@@ -175,12 +187,18 @@ def scan_records(path: str | Path) -> Records:
                 raise JournalCorruptError(
                     f"{path}: undecodable record at line {lineno}: {exc}"
                 ) from exc
+            offset += len(line)
+            if tail is not None:
+                tail.offset = offset
+                tail.newline = raw is not line
+                tail.records = lineno
             yield record
             line = following
             lineno += 1
 
 
-def iter_journal(path: str | Path) -> tuple[ServiceConfig, Records]:
+def iter_journal(path: str | Path, tail: JournalTail | None = None
+                 ) -> tuple[ServiceConfig, Records]:
     """Validate the header now; validate and yield the mutations as read.
 
     The header must be present, of this format version, and carry a valid
@@ -189,9 +207,10 @@ def iter_journal(path: str | Path) -> tuple[ServiceConfig, Records]:
     a gap means an acknowledged mutation is missing and the journal
     cannot be trusted.  A fault raises
     :class:`~repro.exceptions.JournalCorruptError` when the reader reaches
-    it, so a consumer sees every record before the fault first.
+    it, so a consumer sees every record before the fault first.  ``tail``
+    is handed to :func:`scan_records`.
     """
-    records = scan_records(path)
+    records = scan_records(path, tail)
     header = next(records, None)
     if header is None:
         raise JournalCorruptError(f"{path}: empty journal (no header record)")

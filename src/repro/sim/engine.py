@@ -550,16 +550,20 @@ class SlotLoop:
             alloc = self.allocate_task(self.tasks[slot], cap, free=self.free)
         else:
             alloc = self.allocate_model(model, cap, free=self.free)
+        res = self.resolve(slot, model, alloc, cap)
+        if before is None or cache_info is None:
+            return res, "unknown"
+        return res, _cache_status(before, cache_info())
+
+    def resolve(self, slot: int, model: SpeedupModel, alloc: Allocation, cap: int) -> Resolved:
+        """Check ``alloc`` against cap ``cap``; return it with its procs and duration."""
         final = alloc.final
         if not 1 <= final <= cap:
             raise SimulationError(
                 f"allocator returned infeasible allocation {alloc} for task "
                 f"{self.tasks[slot].id!r} on live capacity P_t={cap}"
             )
-        res = (alloc, final, model.time(final))
-        if before is None or cache_info is None:
-            return res, "unknown"
-        return res, _cache_status(before, cache_info())
+        return (alloc, final, model.time(final))
 
     def admit(self, slots: list[int]) -> None:
         """Reveal ``slots`` at :attr:`now`: fix each allocation, queue each task."""
@@ -575,6 +579,9 @@ class SlotLoop:
         # while the whole platform is down; the entry is re-capped on
         # recovery).
         direct = capacity == self.P and self.tenancy is None
+        # An untraced miss has no cache outcome to classify, so it calls
+        # the allocator's keyed entry point without consult()'s wrapping.
+        keyed_miss = self.use_table and self.emit is None
         entry: _Entry
         res: Resolved | None
         for slot in slots:
@@ -605,12 +612,14 @@ class SlotLoop:
                 if res is not None:
                     self.allocator._cache_hits += 1
                     cache = "hit"
+                elif keyed_miss:
+                    res = self.resolve(slot, model, self.allocate_keyed(
+                        model, key, capacity, self.free), capacity)
+                    cache = "unknown"
                 else:
                     res, cache = self.consult(slot, model, capacity, key)
-                    if key is not None:
-                        self.keyed[key] = res
                 if key is not None:
-                    resolved[groups[slot]] = res
+                    resolved[groups[slot]] = self.keyed[key] = res
             alloc, final, duration = res
             if observed:
                 self.observe_reveal(slot, alloc, cache)

@@ -6,20 +6,26 @@ writes ``time(p)`` out inline instead of probing the model.  The oracle is
 the generic path it replaces: ``GeneralModel.max_useful_processors``
 followed by ``LpaAllocator._initial_monotonic``.  Both must agree exactly,
 and every model or allocator the twin cannot mirror must keep the generic
-path.
+path.  For ``c = 0`` the twin proposes both boundaries in closed form and
+keeps a proposal only after probing it, so its decisions stay the
+bisection's; the tests below also force bad proposals and check that the
+search falls back.
 """
 
 import math
+import pickle
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import instance_for_family
+import repro.core.allocator as allocator_module
 from repro.core.allocator import LpaAllocator
 from repro.core.constants import MU_MAX, MU_STAR
 from repro.core.lpa_batch import eq1_eligible
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import AllocationError, InvalidParameterError
 from repro.sim.allocation import Allocation
 from repro.speedup import (
     AmdahlModel,
@@ -104,6 +110,46 @@ def cases(draw):
     return draw(eq1_models(P)), P, draw(mus), draw(rtols)
 
 
+@st.composite
+def c0_cases(draw):
+    """A ``c = 0`` model (roofline or Amdahl shape) with ``d/w`` over 30 decades."""
+    P = draw(st.one_of(st.sampled_from([1, 2, 3, 4096, 10**6]), st.integers(1, 10**6)))
+    w = draw(works)
+    ratio = draw(st.one_of(st.just(0.0), st.floats(-18.0, 12.0).map(lambda e: 10.0**e)))
+    p_tilde = draw(st.sampled_from(["below", "above", "none"]))
+    if p_tilde == "below":
+        pt = draw(st.integers(1, max(1, P - 1)))
+    elif p_tilde == "above":
+        pt = draw(st.integers(P + 1, 2 * P + 8))
+    else:
+        pt = None
+    mu = draw(st.one_of(st.just(MU_MAX), mus))
+    return GeneralModel(w, d=w * ratio, c=0.0, max_parallelism=pt), P, mu, draw(rtols)
+
+
+def time_guess(allocator, model, P):
+    """``_initial_eq1``'s proposed time boundary for a ``c = 0`` model, and
+    whether it passes its check (``None`` when ``t(1)`` is feasible)."""
+    w, d = model.w, model.d
+    p_max = model.max_useful_processors(P)
+    threshold = allocator.delta * (w / p_max + d) * (1.0 + allocator.rtol)
+    if w + d <= threshold:
+        return None
+    q = w / (threshold - d)
+    g = p_max if q >= p_max else max(2, math.ceil(q))
+    return g, (g == 2 or w / (g - 1) + d > threshold) and (
+        g == p_max or w / g + d <= threshold
+    )
+
+
+def shifted_math(shift=0, floor=None):
+    """``math`` with ``ceil``/``floor`` moved by ``shift``, or ``floor`` replaced."""
+    shim = types.SimpleNamespace(**vars(math))
+    shim.ceil = lambda x: math.ceil(x) + shift
+    shim.floor = floor or (lambda x: math.floor(x) + shift)
+    return shim
+
+
 # ----------------------------------------------------------------------
 # Parity
 # ----------------------------------------------------------------------
@@ -168,6 +214,12 @@ class TestParity:
         assert allocator.allocate(model, 64).initial == 16
         assert_parity(allocator, model, 64)
 
+    @settings(max_examples=600, deadline=None)
+    @given(c0_cases())
+    def test_closed_form_boundaries_for_c0(self, case):
+        model, P, mu, rtol = case
+        assert_parity(LpaAllocator(mu, rtol=rtol), model, P)
+
     def test_non_int_platform_validated_like_generic(self):
         allocator = LpaAllocator(0.3)
         model = AmdahlModel(100.0, 1.0)
@@ -180,6 +232,91 @@ class TestParity:
             with pytest.raises(InvalidParameterError) as generic:
                 GeneralModel.max_useful_processors(model, bad)
             assert str(fast.value) == str(generic.value)
+
+
+# ----------------------------------------------------------------------
+# Closed-form proposals for c = 0
+# ----------------------------------------------------------------------
+class TestClosedFormProposals:
+    def test_a_rejected_time_guess_falls_back_to_the_bisection(self):
+        # d/w = 1e12 at delta(MU_MAX) ~ 1: threshold - d is a few ulps of d,
+        # so w / (threshold - d) is far from the boundary.
+        allocator = LpaAllocator(MU_MAX, rtol=0.0)
+        model = AmdahlModel(1.0, 1e12)
+        guess, accepted = time_guess(allocator, model, 4096)
+        assert not accepted
+        assert_parity(allocator, model, 4096)
+        assert allocator.allocate(model, 4096).initial != guess
+
+    @pytest.mark.parametrize("shift", [-1000, -3, -1, 1, 3, 1000])
+    @settings(max_examples=60, deadline=None)
+    @given(case=c0_cases())
+    def test_every_wrong_guess_falls_back(self, shift, case):
+        # Moving ceil/floor moves both proposals off the boundary (or out of
+        # range); _initial_eq1 computes no cap, so nothing else moves.
+        model, P, mu, rtol = case
+        allocator = LpaAllocator(mu, rtol=rtol)
+        expected = generic_allocation(allocator, model, P).initial
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(allocator_module, "math", shifted_math(shift))
+            assert allocator._initial_eq1(model, P) == expected
+
+    def test_area_shortcut_is_skipped_under_the_guard(self, monkeypatch):
+        def no_floor(x):
+            raise AssertionError("area shortcut taken")
+
+        allocator = LpaAllocator(0.3, rtol=0.0)
+        # d = 1e-16 w: each step adds less than the float area's rounding
+        # error, so the float area need not be monotone and the guard
+        # d > 1e-15 (w + (p_max + 1) d) keeps the bisection.
+        guarded = GeneralModel(1.0, d=1e-16, c=0.0)
+        steep = GeneralModel(1.0, d=1e-3, c=0.0)
+        assert not guarded.d > 1e-15 * (guarded.w + (10**6 + 1) * guarded.d)
+        monkeypatch.setattr(allocator_module, "math", shifted_math(floor=no_floor))
+        assert allocator._initial_eq1(guarded, 10**6) == (
+            generic_allocation(allocator, guarded, 10**6).initial
+        )
+        with pytest.raises(AssertionError, match="area shortcut taken"):
+            allocator._initial_eq1(steep, 10**6)
+
+    def test_tightest_budget(self):
+        # delta(MU_MAX) exceeds 1 by two ulps and rtol = 0: the time
+        # budget is as tight as it gets, and the guesses land at or next
+        # to p_max, which the bisection takes as feasible unprobed.
+        allocator = LpaAllocator(MU_MAX, rtol=0.0)
+        for P in (2, 3, 64, 4096):
+            for d in (0.0, 1e-3, 1.0, 1e9):
+                assert_parity(allocator, GeneralModel(1.0, d=d), P)
+
+
+# ----------------------------------------------------------------------
+# The unchecked Allocation of the Equation (1) path
+# ----------------------------------------------------------------------
+class TestTrustedAllocation:
+    @pytest.mark.parametrize(("initial", "final"), [(1, 1), (7, 3), (4096, 4096)])
+    def test_behaves_like_a_validated_one(self, initial, final):
+        trusted = Allocation._trusted(initial, final)
+        checked = Allocation(initial=initial, final=final)
+        assert type(trusted) is Allocation
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert repr(trusted) == repr(checked)
+        assert pickle.loads(pickle.dumps(trusted)) == checked
+        assert pickle.dumps(trusted) == pickle.dumps(checked)
+        assert vars(trusted) == vars(checked)
+
+    def test_eq1_decisions_are_allocations(self):
+        alloc = LpaAllocator(0.3).allocate(AmdahlModel(400.0, 2.0), 64)
+        assert alloc == generic_allocation(LpaAllocator(0.3), AmdahlModel(400.0, 2.0), 64)
+        with pytest.raises(AttributeError):
+            alloc.final = 1
+
+    def test_overridden_step_one_is_still_validated(self):
+        class Broken(LpaAllocator):
+            def initial_allocation(self, model, P):
+                return 0
+
+        with pytest.raises(AllocationError, match="invalid allocation"):
+            Broken(0.3).allocate(AmdahlModel(400.0, 2.0), 64)
 
 
 # ----------------------------------------------------------------------

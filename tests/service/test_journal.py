@@ -332,3 +332,84 @@ class TestBoundedMemory:
         run = core.pool.tenants["a"]
         assert all(task.tenant is run.tenant for task in core.pool.tasks)
         assert not hasattr(core.pool.tasks[0], "__dict__")
+
+
+class TestReopenInPlace:
+    @pytest.mark.parametrize(
+        "tail",
+        [b"", b'{"kind":"mutation","seq":2,"op":"tr', b"garbage\n", b"\n", b"[1, 2]\n", b"\xff"],
+    )
+    def test_reopen_keeps_the_file_and_drops_only_the_torn_tail(self, tmp_path, config, tail):
+        path = tmp_path / "wal.jsonl"
+        clean = header_line(config) + tick_line(0) + tick_line(1)
+        path.write_bytes(clean + tail)
+        inode = path.stat().st_ino
+        writer = JournalWriter(path, config)
+        assert writer.next_seq == 2
+        writer.close()
+        assert path.read_bytes() == clean
+        assert path.stat().st_ino == inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wal.jsonl"]
+
+    def test_last_record_without_newline_gets_one(self, tmp_path, config):
+        path = tmp_path / "wal.jsonl"
+        clean = header_line(config) + tick_line(0) + tick_line(1)
+        path.write_bytes(clean[:-1])
+        writer = JournalWriter(path, config)
+        assert writer.append("tick", {"max_events": 1}) == 2
+        writer.close()
+        assert path.read_bytes() == clean + tick_line(2)
+
+    def test_header_without_newline_gets_one(self, tmp_path, config):
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(header_line(config)[:-1])
+        writer = JournalWriter(path, config)
+        assert writer.append("tick", {"max_events": 1}) == 0
+        writer.close()
+        assert path.read_bytes() == header_line(config) + tick_line(0)
+
+    def test_recover_reads_the_journal_once(self, tmp_path, monkeypatch):
+        from repro.service import journal
+
+        path = tmp_path / "wal.jsonl"
+        live = write_service_journal(path, 30)
+        scans = []
+        original = journal.scan_records
+
+        def counting(*args, **kwargs):
+            scans.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(journal, "scan_records", counting)
+        core = ServiceCore.recover(path)
+        core.close_journal()
+        assert len(scans) == 1
+        assert core.state_digest() == live.state_digest()
+        assert core.journal.next_seq == live.journal.next_seq
+
+    def test_recover_truncates_a_torn_tail_and_continues_the_sequence(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        live = write_service_journal(path, 30)
+        clean = path.read_bytes()
+        with path.open("ab") as handle:
+            handle.write(b'{"kind":"mutation","seq":')
+        core = ServiceCore.recover(path)
+        assert core.state_digest() == live.state_digest()
+        assert path.read_bytes() == clean
+        resumed = core.journal.next_seq
+        assert resumed == live.journal.next_seq
+        core.hello(Hello(tenant="b"))
+        core.close_journal()
+        _, mutations = read_journal(path)
+        assert [m["seq"] for m in mutations] == list(range(resumed + 1))
+
+    def test_recover_refuses_a_corrupt_journal_before_truncating(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        write_service_journal(path, 40)
+        corrupt_midfile(path)
+        with path.open("ab") as handle:
+            handle.write(b"torn")
+        before = path.read_bytes()
+        with pytest.raises(JournalCorruptError, match="undecodable record"):
+            ServiceCore.recover(path)
+        assert path.read_bytes() == before

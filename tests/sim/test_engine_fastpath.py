@@ -19,12 +19,14 @@ from repro.baselines.online import AvailableProcessorsAllocator, MaxUsefulAlloca
 from repro.core.allocator import LpaAllocator
 from repro.core.constants import MU_STAR
 from repro.core.scheduler import OnlineScheduler
+from repro.exceptions import SimulationError
 from repro.graph.generators import chain, independent_tasks, layered_random
 from repro.graph.taskgraph import TaskGraph
 from repro.obs.events import AllocationDecided, CollectingTracer
 from repro.resilience.faults import FaultTrace
 from repro.resilience.retry import RetryPolicy
-from repro.sim.engine import EngineStats, ListScheduler, profile_engine
+from repro.sim.allocation import Allocation
+from repro.sim.engine import EngineStats, ListScheduler, SlotLoop, profile_engine
 from repro.sim.sources import ReleasedTaskSource
 from repro.speedup import (
     AmdahlModel,
@@ -383,3 +385,93 @@ class TestRevealTable:
         assert again.schedule.entries == fresh.schedule.entries
         assert list(again.allocations.items()) == list(fresh.allocations.items())
         assert stat_counts(again.stats) == (len(graph) - 1, 1, 0)
+
+
+class TestDirectMissPath:
+    """Untraced misses at full capacity call ``allocate_keyed`` without ``consult``."""
+
+    @staticmethod
+    def fresh_models(n):
+        models = iter([AmdahlModel(10.0 + i, 0.5) for i in range(n)])
+        return layered_random(
+            4, 5, models.__next__, edge_probability=0.3, seed=np.random.default_rng(5)
+        )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``LpaAllocator.allocate`` and ``SlotLoop.consult`` calls."""
+        counts = {"allocate": 0, "consult": 0}
+        allocate, consult = LpaAllocator.allocate, SlotLoop.consult
+
+        def counting_allocate(self, *args, **kwargs):
+            counts["allocate"] += 1
+            return allocate(self, *args, **kwargs)
+
+        def counting_consult(self, *args, **kwargs):
+            counts["consult"] += 1
+            return consult(self, *args, **kwargs)
+
+        monkeypatch.setattr(LpaAllocator, "allocate", counting_allocate)
+        monkeypatch.setattr(SlotLoop, "consult", counting_consult)
+        return counts
+
+    @pytest.mark.parametrize("mode", ["plain", "checked", "traced"])
+    def test_one_allocate_per_miss_and_exact_counters(self, calls, mode):
+        graph = self.fresh_models(20)
+        n = len(graph)
+        allocator = LpaAllocator(MU_STAR["amdahl"])
+        scheduler = ListScheduler(64, allocator)
+        tracer = CollectingTracer() if mode == "traced" else None
+        for run in range(2):  # the second run hits the allocator's LRU
+            calls["allocate"] = calls["consult"] = 0
+            result, delta = cache_delta(
+                allocator,
+                lambda: scheduler.run(graph, check_invariants=mode == "checked", tracer=tracer),
+            )
+            assert delta == stat_counts(result.stats)
+            expected = (n, 0, 0) if run else (0, n, 0)
+            assert delta == expected
+            assert calls["allocate"] == (0 if run else n)
+            assert calls["consult"] == (n if mode == "traced" else 0)
+        if tracer is not None:
+            caches = [e.cache for e in tracer.of_type(AllocationDecided)]
+            assert caches == ["miss"] * n + ["hit"] * n
+
+    def test_decisions_match_the_consulted_path(self):
+        graph = self.fresh_models(20)
+        plain = ListScheduler(64, LpaAllocator(MU_STAR["amdahl"])).run(graph)
+        traced = ListScheduler(64, LpaAllocator(MU_STAR["amdahl"])).run(
+            graph, tracer=CollectingTracer()
+        )
+        assert plain.schedule.entries == traced.schedule.entries
+        assert list(plain.allocations.items()) == list(traced.allocations.items())
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_infeasible_allocation_is_refused_on_both_paths(self, traced):
+        class Oversized(LpaAllocator):
+            def allocate(self, model, P, *, free=None):
+                return Allocation(initial=P + 1, final=P + 1)
+
+        graph = independent_tasks(3, comm)
+        tracer = CollectingTracer() if traced else None
+        with pytest.raises(SimulationError, match="infeasible allocation .* P_t=8"):
+            ListScheduler(8, Oversized(0.3)).run(graph, tracer=tracer)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_equal_keys_reach_the_allocator_once(self, monkeypatch, traced):
+        keyed_calls = []
+        original = LpaAllocator.allocate_keyed
+
+        def spy(self, model, key, P, free):
+            keyed_calls.append(key)
+            return original(self, model, key, P, free)
+
+        monkeypatch.setattr(LpaAllocator, "allocate_keyed", spy)
+        equal = [AmdahlModel(30.0, 1.0) for _ in range(3)]
+        graph = TaskGraph()
+        for i in range(9):
+            graph.add_task(i, equal[i % 3])
+        tracer = CollectingTracer() if traced else None
+        result = OnlineScheduler.for_family("amdahl", 16).run(graph, tracer=tracer)
+        assert keyed_calls == [equal[0].cache_key()]
+        assert stat_counts(result.stats) == (8, 1, 0)
