@@ -21,7 +21,9 @@ stay greppable.  :func:`canonical_json` fixes key order and separators, which
 makes :func:`content_digest` a stable content address: the same payload
 always hashes to the same key, on every platform and in every process.
 :func:`content_digest` hashes that text in pieces as it walks the value, so
-digesting a large state holds neither an encoded copy nor the whole string.
+digesting a large state holds neither an encoded copy nor the whole string,
+and a :class:`Members` value lets the caller produce an object's members
+only as the walk reaches them.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import hashlib
 import json
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "decode_value",
     "canonical_json",
     "content_digest",
+    "Members",
 ]
 
 #: Tag key marking an encoded container that plain JSON cannot represent.
@@ -108,6 +111,23 @@ def decode_value(value: Any) -> Any:
 def canonical_json(value: Any) -> str:
     """Deterministic JSON text for ``value`` (sorted keys, fixed separators)."""
     return json.dumps(encode_value(value), sort_keys=True, separators=(",", ":"))
+
+
+class Members:
+    """A JSON object that :func:`content_digest` reads member by member.
+
+    ``pairs`` yields ``(key, value)`` with distinct string keys in sorted
+    order, which is the order canonical JSON writes a dict's keys in, so
+    the digest equals that of ``dict(pairs)``; each value is produced
+    only when the walk reaches it.  Out-of-order, repeated, non-string
+    or tag keys raise :class:`~repro.exceptions.InvalidParameterError`.
+    Single-use, and for digests only: :func:`encode_value` rejects it.
+    """
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Iterable[tuple[str, Any]]) -> None:
+        self.pairs = pairs
 
 
 def content_digest(value: Any) -> str:
@@ -191,6 +211,22 @@ def _emit_object(value: dict[str, Any], out: list[str], sink: Any) -> None:
     out.append("}" if value else "{}")
 
 
+def _emit_members(members: Members, out: list[str], sink: Any) -> None:
+    sep = "{"
+    last: str | None = None
+    for key, item in members.pairs:
+        if type(key) is not str or key == TAG or (last is not None and key <= last):
+            raise InvalidParameterError(
+                f"Members key {key!r} after {last!r}: keys must be distinct "
+                f"strings in sorted order, other than {TAG!r}"
+            )
+        out.append(f"{sep}{encode_basestring_ascii(key)}:")
+        _emit(item, out, sink)
+        sep = ","
+        last = key
+    out.append("}" if last is not None else "{}")
+
+
 def _emit_other(value: Any, out: list[str], sink: Any) -> None:
     """:func:`encode_value`'s rules for everything but the exact JSON types."""
     if isinstance(value, np.generic):  # np.float64, np.int64, np.bool_, ...
@@ -217,5 +253,7 @@ def _emit_other(value: Any, out: list[str], sink: Any) -> None:
             _emit(item, out, sink)
             out.append("]")
         out.append("]}")
+    elif isinstance(value, Members):
+        _emit_members(value, out, sink)
     else:
         raise InvalidParameterError(_unencodable(value))

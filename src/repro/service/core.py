@@ -417,7 +417,7 @@ class ServiceCore:
         pre-crash core.
         """
         return content_digest(
-            {"config": self.config.as_dict(), "pool": self.pool.state_dict()}
+            {"config": self.config.as_dict(), "pool": self.pool.state_stream()}
         )
 
     def close_journal(self) -> None:

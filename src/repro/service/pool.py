@@ -37,13 +37,15 @@ forgotten when its run finishes or is cancelled), and
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.allocator import LpaAllocator
 from repro.exceptions import InvalidParameterError, ServiceError, SimulationError
 from repro.obs.events import QueueSampled, SimEvent
 from repro.resilience.retry import RetryPolicy
+from repro.runtime.serialization import Members
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.sim.allocation import Allocator
 from repro.sim.engine import SlotLoop
@@ -78,7 +80,9 @@ class PoolTask:
 
     tenant: str
     task_id: str
-    model: SpeedupModel
+    #: Released (``None``) once the task is ``done`` or ``cancelled``: no
+    #: later heap event, queue entry or retry reads it.
+    model: SpeedupModel | None
     #: The task's slot in the pool's loop.
     slot: int = -1
     #: Processor quota of the tenant (``P`` without one).
@@ -87,8 +91,10 @@ class PoolTask:
     #: -> ``done``; a killed attempt is ``killed`` until its retry is
     #: queued; ``cancelled`` is terminal from any live state.
     state: str = "blocked"
-    waiting_on: set[str] = field(default_factory=set)
-    successors: list[str] = field(default_factory=list)
+    #: Unfinished predecessors; a set only while there are some.
+    waiting_on: set[str] | None = None
+    #: Successor ids; a list only once one exists, dropped once finished.
+    successors: list[str] | None = None
     attempt: int = 1
     start: float = -1.0
     end: float = -1.0
@@ -119,6 +125,8 @@ class TenantRun:
     #: Terminal reason for cancelled tenants (error code).
     reason: str = ""
     tasks: dict[str, PoolTask] = field(default_factory=dict)
+    #: ``tasks``' ids in sorted order, the order ``state_dict`` lists them in.
+    order: list[str] = field(default_factory=list)
     inflight: int = 0
     running_procs: int = 0
     completed: int = 0
@@ -269,13 +277,19 @@ class SharedPool(SlotLoop):
                     f"task {task_id!r} depends on unknown task {dep!r}"
                 )
             if pred.state != "done":
+                if task.waiting_on is None:
+                    task.waiting_on = set()
                 task.waiting_on.add(dep)
-                pred.successors.append(task_id)
+                if pred.successors is None:
+                    pred.successors = [task_id]
+                else:
+                    pred.successors.append(task_id)
         self.tasks.append(task)
         run.tasks[task_id] = task
+        insort(run.order, task_id)
         run.inflight += 1
         self.stats.submitted += 1
-        if not task.waiting_on:
+        if task.waiting_on is None:
             task.state = "queued"
             self.admit([task.slot])
             self.start_fitting()
@@ -323,6 +337,7 @@ class SharedPool(SlotLoop):
             if task.state in ("blocked", "queued", "running", "killed"):
                 task.state = "cancelled"
                 task.proc_ids = ()
+                self._retire(task)
         self._finish(run, "cancelled")
         run.reason = reason
         run.inflight = 0
@@ -400,18 +415,32 @@ class SharedPool(SlotLoop):
         done = {"event": "task-done", "task": task.task_id, "start": task.start,
                 "end": task.end, "procs": task.procs}
         notes: list[Notification] = [(run.tenant, done)]
-        for succ_id in task.successors:
+        for succ_id in task.successors or ():
             succ = run.tasks[succ_id]
-            if succ.state != "blocked":
+            waiting = succ.waiting_on
+            if succ.state != "blocked" or waiting is None:
                 continue
-            succ.waiting_on.discard(task.task_id)
-            if not succ.waiting_on:
+            waiting.discard(task.task_id)
+            if not waiting:
+                succ.waiting_on = None
                 succ.state = "queued"
                 revealed.append(succ.slot)
+        self._retire(task)
         if run.is_drained():
             self._finish(run, "finished")
             notes.append((run.tenant, self._graph_done_payload(run)))
         return notes
+
+    def _retire(self, task: PoolTask) -> None:
+        """A task left the live states: drop what only scheduling reads.
+
+        Its row in :meth:`state_dict` keeps ``attempt`` and, for a
+        cancelled task, ``waiting_on``; the loop's retry entry (attempt
+        and residual model) and the task's own model are not read again.
+        """
+        task.model = None
+        task.successors = None
+        self.retries.pop(task.slot, None)
 
     def _killed_attempt(self, event: tuple[Any, ...]) -> list[Notification]:
         """A fault killed a running attempt: account it, retry or evict."""
@@ -522,6 +551,21 @@ class SharedPool(SlotLoop):
         processor sets, queue, event heaps, and per-tenant task states.
         Observability counters are excluded (they are not semantics).
         """
+        return self._state(dict)
+
+    def state_stream(self) -> dict[str, object]:
+        """:meth:`state_dict` with each tenant's task rows as :class:`Members`.
+
+        :func:`~repro.runtime.serialization.content_digest` renders each
+        row just before it hashes it, so a digest holds no row of a task
+        but the current one; the bytes hashed are those of
+        :meth:`state_dict`.  Single-use.
+        """
+        return self._state(Members)
+
+    def _state(
+        self, rows: Callable[[Iterator[tuple[str, dict[str, object]]]], object]
+    ) -> dict[str, object]:
         tenants = {}
         for tenant in sorted(self.tenants):
             run = self.tenants[tenant]
@@ -534,17 +578,7 @@ class SharedPool(SlotLoop):
                 "reason": run.reason,
                 "inflight": run.inflight,
                 "completed": run.completed,
-                "tasks": {
-                    tid: {
-                        "state": t.state,
-                        "attempt": t.attempt,
-                        "start": t.start,
-                        "end": t.end,
-                        "procs": t.procs,
-                        "waiting_on": sorted(t.waiting_on),
-                    }
-                    for tid, t in sorted(run.tasks.items())
-                },
+                "tasks": rows(self._task_rows(run)),
             }
         tasks = self.tasks
         events = [
@@ -568,6 +602,21 @@ class SharedPool(SlotLoop):
             "events": sorted(events),
             "tenants": tenants,
         }
+
+    @staticmethod
+    def _task_rows(run: TenantRun) -> Iterator[tuple[str, dict[str, object]]]:
+        """``(task id, state row)`` of each of ``run``'s tasks, in id order."""
+        tasks = run.tasks
+        for tid in run.order:
+            t = tasks[tid]
+            yield tid, {
+                "state": t.state,
+                "attempt": t.attempt,
+                "start": t.start,
+                "end": t.end,
+                "procs": t.procs,
+                "waiting_on": sorted(t.waiting_on or ()),
+            }
 
     def snapshot(self) -> Mapping[str, object]:
         """Status-endpoint payload: coarse state + throughput counters."""

@@ -13,6 +13,7 @@ from repro.exceptions import InvalidParameterError
 from repro.runtime.serialization import (
     CANONICAL_ENCODER,
     TAG,
+    Members,
     canonical_json,
     content_digest,
     decode_value,
@@ -209,3 +210,49 @@ class TestStreamedDigest:
     def test_encoder_matches_canonical_json(self):
         value = {"b": [1, 2.5, None], "a": {"é": float("inf")}}
         assert CANONICAL_ENCODER.encode(value) == canonical_json(value)
+
+
+def streamed(value):
+    """``value`` with every string-keyed, untagged dict read as :class:`Members`."""
+    if isinstance(value, list):
+        return [streamed(v) for v in value]
+    if type(value) is dict and TAG not in value and all(type(k) is str for k in value):
+        return Members((k, streamed(value[k])) for k in sorted(value))
+    return value
+
+
+class TestMembers:
+    """A :class:`Members` object hashes as the dict its pairs build."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_digest_equals_that_of_the_dict(self, value):
+        assert content_digest(streamed(value)) == reference_digest(value)
+
+    def test_members_are_produced_as_the_walk_reaches_them(self):
+        produced = []
+
+        def pairs():
+            for key in ("a", "b", "c"):
+                produced.append(key)
+                yield key, {"row": len(produced)}
+
+        assert content_digest({"rows": Members(pairs()), "z": 1}) == reference_digest(
+            {"rows": {"a": {"row": 1}, "b": {"row": 2}, "c": {"row": 3}}, "z": 1}
+        )
+        assert produced == ["a", "b", "c"]
+
+    def test_empty(self):
+        assert content_digest(Members(iter(()))) == reference_digest({})
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[("b", 1), ("a", 2)], [("a", 1), ("a", 2)], [(1, 2)], [(TAG, "tuple")]],
+    )
+    def test_keys_must_be_distinct_sorted_untagged_strings(self, pairs):
+        with pytest.raises(InvalidParameterError, match="sorted order"):
+            content_digest(Members(pairs))
+
+    def test_only_digests_read_it(self):
+        with pytest.raises(InvalidParameterError, match="cannot JSON-encode"):
+            canonical_json({"rows": Members([("a", 1)])})

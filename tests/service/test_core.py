@@ -318,13 +318,14 @@ class TestSessionScope:
     def test_stale_completion_of_earlier_session_is_ignored(self, tmp_path):
         readmitted, task = self.reuse_after_cancel(tmp_path, kill=False)
         assert task.state == "done" and task.start == readmitted
-        assert task.end == task.start + task.model.time(task.procs)
+        assert task.model is None  # released at completion
+        assert task.end == task.start + AmdahlModel(8.0, 1.0).time(task.procs)
 
     def test_stale_retry_of_earlier_session_is_ignored(self, tmp_path):
         readmitted, task = self.reuse_after_cancel(tmp_path, kill=True)
         assert task.state == "done" and task.attempt == 2
         assert task.start == readmitted + 1.0  # killed on re-admission, backoff 1.0
-        assert task.end == task.start + task.model.time(task.procs)
+        assert task.end == task.start + AmdahlModel(8.0, 1.0).time(task.procs)
 
     def test_traced_faulted_run_passes_the_checker(self):
         checker = InvariantChecker(4)
