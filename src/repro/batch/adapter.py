@@ -150,10 +150,6 @@ def run_batch(
             "batch.tasks", help="tasks scheduled by the batch engine"
         ).inc(compiled.total_tasks)
         registry.counter(
-            "batch.vectorized_groups",
-            help="cache-key groups resolved by vectorized allocation",
-        ).inc(sum(run.vectorized_groups for run in compiled.runs))
-        registry.counter(
             "batch.compactions", help="queue compaction passes in the batch kernel"
         ).inc(int(engine.compactions.sum()))
         registry.counter(

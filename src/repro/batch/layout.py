@@ -18,15 +18,15 @@ layout.  Compilation happens in two stages:
 * :func:`compile_run` — everything that additionally depends on the
   platform size ``P`` and the allocator: the per-task processor counts
   and execution times.  Both are resolved *per cache-key group*, not per
-  task: equal keys promise equal time functions, so the allocator and the
-  model are consulted once per distinct parameterization and the results
-  are broadcast by a vectorized gather.  Models without a cache key fall
-  back to per-task calls, exactly like the reference engine's allocation
-  cache bypasses.
+  task: equal keys promise equal time functions, so each group costs one
+  :meth:`~repro.sim.allocation.Allocator.allocate_cached` call and one
+  ``model.time`` call, and the results are broadcast by a vectorized
+  gather.  Models without a cache key fall back to per-task calls, exactly
+  like the reference engine's allocation cache bypasses.
 
-Durations are computed with the *scalar* ``model.time(procs)`` — the same
-call, on the same floats, as the reference engine — so batch schedules
-can be bit-identical, not merely close.
+Allocations come from the reference engine's entry point and durations
+from the *scalar* ``model.time(procs)`` — the same calls, on the same
+floats — so batch schedules can be bit-identical, not merely close.
 
 An allocator that reads the live free count raises
 :class:`~repro.exceptions.BatchUnsupportedError`: its decisions are not a
@@ -100,12 +100,9 @@ class CompiledRun:
     initial: np.ndarray
     #: Execution time under ``procs`` per column (``float64 [n]``).
     duration: np.ndarray
-    #: Scalar allocator consultations made while compiling this run
-    #: (zero when the vectorized batch decision covered every group).
+    #: Allocator consultations made while compiling this run: one per
+    #: cache-key group (one per task for task-aware allocators).
     allocator_calls: int
-    #: Cache-key groups resolved by the allocator's vectorized batch
-    #: decision instead of scalar calls.
-    vectorized_groups: int = 0
     #: Allocator-cache counter diffs across this run's compilation
     #: (zero for allocators without a ``cache_info``).
     alloc_cache_hits: int = 0
@@ -237,7 +234,6 @@ def compile_run(
     initial = np.empty(n, dtype=np.int64)
     duration = np.empty(n, dtype=np.float64)
     calls = 0
-    vectorized = 0
     cache_info = getattr(allocator, "cache_info", None)
     info0 = cache_info() if callable(cache_info) else None
 
@@ -254,43 +250,18 @@ def compile_run(
             duration[i] = task.model.time(alloc.final)
     elif n:
         reps = structure.group_rep
-        # Vectorized fast path: allocators exposing allocate_batch (the
-        # LPA family) resolve all cache-key groups in one array-math call
-        # — same decisions, zero per-group Python allocator calls.  The
-        # allocator returns None when it cannot prove parity (subclass
-        # overrides), and the per-group scalar loop below takes over.
-        rep_models = [tasks[ids[int(rep)]].model for rep in reps]
-        batch_fn = getattr(allocator, "allocate_batch", None)
-        batched = batch_fn(rep_models, P) if callable(batch_fn) else None
-        if batched is not None:
-            calls += batched.scalar_calls
-            vectorized = batched.vectorized
-            g_final = batched.final
-            g_initial = batched.initial
-            g_duration = batched.duration
-            bad = (g_final < 1) | (g_final > P)
-            if bad.any():
-                gi = int(np.argmax(bad))
-                _check_alloc(
-                    int(g_final[gi]),
-                    P,
-                    f"Allocation(initial={int(g_initial[gi])}, "
-                    f"final={int(g_final[gi])})",
-                    ids[int(reps[gi])],
-                )
-        else:
-            g_final = np.empty(len(reps), dtype=np.int64)
-            g_initial = np.empty(len(reps), dtype=np.int64)
-            g_duration = np.empty(len(reps), dtype=np.float64)
-            for g, rep in enumerate(reps):
-                tid = ids[int(rep)]
-                model = tasks[tid].model
-                alloc = allocate_model(model, P, free=None)
-                calls += 1
-                _check_alloc(alloc.final, P, alloc, tid)
-                g_final[g] = alloc.final
-                g_initial[g] = alloc.initial
-                g_duration[g] = model.time(alloc.final)
+        g_final = np.empty(len(reps), dtype=np.int64)
+        g_initial = np.empty(len(reps), dtype=np.int64)
+        g_duration = np.empty(len(reps), dtype=np.float64)
+        for g, rep in enumerate(reps):
+            tid = ids[int(rep)]
+            model = tasks[tid].model
+            alloc = allocate_model(model, P, free=None)
+            calls += 1
+            _check_alloc(alloc.final, P, alloc, tid)
+            g_final[g] = alloc.final
+            g_initial[g] = alloc.initial
+            g_duration[g] = model.time(alloc.final)
         grp = structure.group
         procs = g_final[grp]
         initial = g_initial[grp]
@@ -309,7 +280,6 @@ def compile_run(
         initial=initial,
         duration=duration,
         allocator_calls=calls,
-        vectorized_groups=vectorized,
         alloc_cache_hits=hits,
         alloc_cache_misses=misses,
         alloc_cache_bypasses=bypasses,

@@ -15,17 +15,18 @@ For monotonic models (the whole Equation (1) family, Lemma 1) step 1 is
 solved with two binary searches; arbitrary models fall back to a linear
 scan over :math:`[1, p^{\\max}]`.
 
-Models that :func:`repro.core.lpa_batch.eq1_eligible` admits (un-overridden
-``GeneralModel`` math with the monotonic hint set: roofline, communication,
-Amdahl, general) take :meth:`LpaAllocator._initial_eq1`, which reads
-``(w, d, c, p̃)`` once and evaluates Equation (1) inline instead of calling
-``model.time`` per probe.  It uses the same float expressions as
-``GeneralModel.max_useful_processors`` + :meth:`LpaAllocator._initial_monotonic`
-and, for ``c = 0``, proposes each boundary in closed form and keeps it only
-once the probes around it confirm it, so it makes the same decisions as
-that generic path, which stays the only path for every other model and the
-oracle of ``tests/core/test_eq1_path.py``.  Subclasses that override a
-decision method always get the generic path.
+Models that :func:`eq1_eligible` admits (un-overridden ``GeneralModel``
+math with the monotonic hint set: roofline, communication, Amdahl, general)
+take :meth:`LpaAllocator._initial_eq1`, the one Equation (1) implementation
+of step 1.  It reads ``(w, d, c, p̃)`` once and evaluates Equation (1)
+inline instead of calling ``model.time`` per probe.  It uses the same float
+expressions as ``GeneralModel.max_useful_processors`` +
+:meth:`LpaAllocator._initial_monotonic` and, for ``c = 0``, proposes each
+boundary in closed form and keeps it only once the probes around it confirm
+it, so it makes the same decisions as that generic path, which stays the
+only path for every other model and the oracle of
+``tests/core/test_eq1_path.py``.  Subclasses that override a decision
+method always get the generic path.
 
 The allocation is a pure function of ``(model, P)``, so the engine calls
 Algorithm 2 through the memoized
@@ -41,10 +42,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, TypeGuard
 
 from repro.core.constants import MU_MAX, delta
-from repro.core.lpa_batch import BatchAllocation, eq1_eligible, lpa_allocate_batch
 from repro.exceptions import AllocationError
 from repro.sim.allocation import Allocation, AllocationCacheInfo, Allocator
 from repro.speedup.base import SpeedupModel
@@ -57,7 +57,35 @@ __all__ = [
     "AllocationExplanation",
     "Allocator",
     "LpaAllocator",
+    "eq1_eligible",
 ]
+
+
+#: Per-class memo of :func:`eq1_eligible`'s method-identity checks.  A
+#: class's methods are fixed once it is defined; ``monotonic_hint`` may be
+#: set per instance, so it is read from the model on every call.
+_EQ1_CLASSES: dict[type, bool] = {}
+
+
+def eq1_eligible(model: SpeedupModel) -> TypeGuard[GeneralModel]:
+    """Whether ``model``'s math is literally the Equation (1) closed forms.
+
+    True only when the instance is a :class:`GeneralModel` whose
+    ``time``, ``area``, and ``max_useful_processors`` are un-overridden
+    (roofline/communication/Amdahl qualify; any subclass customizing the
+    math does not) and whose monotonic hint routes the allocator into the
+    binary-search branch :meth:`LpaAllocator._initial_eq1` mirrors.
+    """
+    cls = type(model)
+    eligible = _EQ1_CLASSES.get(cls)
+    if eligible is None:
+        eligible = _EQ1_CLASSES[cls] = (
+            issubclass(cls, GeneralModel)
+            and cls.time is GeneralModel.time
+            and cls.max_useful_processors is GeneralModel.max_useful_processors
+            and cls.area is SpeedupModel.area
+        )
+    return eligible and model.monotonic_hint is True
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,8 +142,7 @@ class LpaAllocator(Allocator):
 
     #: Whether this class keeps LpaAllocator's own decision methods
     #: (``allocate``/``initial_allocation``/``_initial_monotonic``).  Only
-    #: then may the Equation (1) twins — :meth:`_initial_eq1` and
-    #: :meth:`allocate_batch`'s array lanes — stand in for them.
+    #: then may :meth:`_initial_eq1` stand in for them.
     _own_decisions: ClassVar[bool] = True
 
     def __init_subclass__(cls, **kwargs: object) -> None:
@@ -179,30 +206,6 @@ class LpaAllocator(Allocator):
             capped=final < initial,
         )
 
-    def allocate_batch(
-        self, models: Sequence[SpeedupModel], P: int
-    ) -> BatchAllocation | None:
-        """Resolve many models' allocations at once, vectorizing Eq. (1).
-
-        Batch-compilation fast path (:func:`repro.batch.layout.compile_run`
-        calls it once per run with one model per cache-key group): lanes
-        whose math is provably the Equation (1) closed forms resolve
-        through :mod:`repro.core.lpa_batch`'s array implementation of the
-        α/β decision — bit-identical to :meth:`allocate` by construction —
-        and every other lane falls back to :meth:`allocate_cached`.
-
-        Returns ``None`` when vectorization cannot be trusted: a subclass
-        overriding any decision method (``allocate``/``initial_allocation``/
-        ``_initial_monotonic``) changes the scalar semantics the array
-        math mirrors, so such allocators keep the per-group scalar path.
-        """
-        if not self._own_decisions:
-            return None
-        P = check_positive_int(P, "P")
-        return lpa_allocate_batch(
-            self, models, P, mu=self.mu, delta=self.delta, rtol=self.rtol
-        )
-
     def initial_allocation(self, model: SpeedupModel, P: int) -> int:
         """Step 1: the constrained area-minimizing allocation :math:`p_j`."""
         if self._own_decisions and eq1_eligible(model):
@@ -218,7 +221,6 @@ class LpaAllocator(Allocator):
     def _initial_eq1(self, model: GeneralModel, P: int) -> int:
         """Step 1 for an Equation (1) model, bit-identical to the generic path.
 
-        The scalar twin of :func:`repro.core.lpa_batch.lpa_decide_eq1`:
         ``GeneralModel.max_useful_processors`` then :meth:`_initial_monotonic`
         with ``time(p) = w / min(p, p̃) + d + c * (p - 1)`` written out
         inline, so every comparison sees the same floats.  For ``c = 0``

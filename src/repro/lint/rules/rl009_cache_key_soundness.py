@@ -12,17 +12,18 @@ a crash.
 
 This rule proves the contract whole-program:
 
-1. **Entry points** — ``allocate``/``allocate_batch`` of every class in
+1. **Entry points** — ``allocate``/``allocate_task`` of every class in
    the ``Allocator`` hierarchy plus ``SpeedupModel.times`` (the
-   vectorized decision input), minus allocators declaring
+   vectorized time query), minus allocators declaring
    ``uses_free = True``: those bypass the cache *by construction*
    (:attr:`~repro.sim.allocation.Allocator.uses_free` is the structured
    escape hatch) and owe the key nothing.
 2. **Demand** — the call graph is closed over the entries; inside every
    reachable function, method calls and attribute reads on model-typed
-   values (parameters annotated with a ``SpeedupModel`` subclass, or
-   elements of annotated sequences — ``eq1_params`` reading ``model.w``
-   in a loop counts) become *demanded* methods/attributes.
+   values (parameters annotated with a ``SpeedupModel`` subclass —
+   ``LpaAllocator._initial_eq1`` reading ``model.w`` off its
+   ``GeneralModel`` parameter counts — or elements of annotated
+   sequences) become *demanded* methods/attributes.
 3. **Coverage** — for each concrete cacheable model (resolved
    ``cache_key`` is not the base ``return None``), the demanded methods
    resolve through the model's MRO and their transitive ``self.<attr>``
@@ -58,7 +59,7 @@ _MODEL_ROOT = "SpeedupModel"
 
 #: Allocator entry methods whose reachable code constitutes "decision
 #: code" for the cache contract.
-_ENTRY_METHODS = ("allocate", "allocate_batch", "allocate_task")
+_ENTRY_METHODS = ("allocate", "allocate_task")
 
 #: Model methods that are definitionally key-consistent: ``cache_key``
 #: is the key, and dunders are identity/representation, not decisions.
@@ -92,7 +93,7 @@ class CacheKeySoundnessRule(SemanticRule):
     name = "cache-key-soundness"
     description = (
         "model attributes read by allocator decision code (reachable from "
-        "allocate/times/allocate_batch) must be derivable from the model's "
+        "allocate/allocate_task/times) must be derivable from the model's "
         "cache_key(); uses_free allocators are structurally exempt"
     )
 
@@ -227,7 +228,7 @@ class CacheKeySoundnessRule(SemanticRule):
                     "or make the attribute a class constant",
                 )
         # Direct attribute reads on model-typed values in decision code
-        # (e.g. eq1_params stacking model.w) demand coverage from every
+        # (e.g. _initial_eq1 reading model.w) demand coverage from every
         # cacheable model that actually has the attribute.
         for attr in sorted(demanded_attrs):
             if attr not in has_attr or attr in covered or attr in constants:

@@ -60,6 +60,10 @@ def slack(horizon: Time) -> Time:
     return RTOL * max(1.0, horizon)
 
 
+#: ``InvariantChecker._attempts`` value of a completed task.
+_COMPLETED = -1
+
+
 class InvariantChecker:
     """Online monitor of the feasibility rules, fed one transition at a time.
 
@@ -75,9 +79,9 @@ class InvariantChecker:
         self.used = 0
         self.now: Time = 0.0
         self.events_checked = 0
-        self._attempts: dict[TaskId, int] = {}  # revealed -> attempts started
+        # revealed -> attempts started, or _COMPLETED once it completed
+        self._attempts: dict[TaskId, int] = {}
         self._running: dict[TaskId, int] = {}  # running -> processors
-        self._completed: set[TaskId] = set()
         self._killed: set[TaskId] = set()  # last attempt killed, not restarted
 
     def _advance(self, time: Time, event: str, task_id: TaskId | None = None) -> None:
@@ -105,7 +109,7 @@ class InvariantChecker:
         started = self._attempts.get(task_id)
         if started is None:
             problem = "task started before being revealed"
-        elif task_id in self._completed:
+        elif started == _COMPLETED:
             problem = "task started after completing"
         elif task_id in self._running:
             problem = "task started while already running (self-overlap)"
@@ -144,7 +148,7 @@ class InvariantChecker:
 
     def on_complete(self, time: Time, task_id: TaskId) -> None:
         self._stop(time, task_id, "complete")
-        self._completed.add(task_id)
+        self._attempts[task_id] = _COMPLETED
 
     def on_capacity(self, time: Time, capacity: int) -> None:
         self._advance(time, "capacity")
@@ -167,14 +171,21 @@ class InvariantChecker:
         Their ids can then be reused: the service scopes task identities to
         a session and forgets a tenant's tasks when its run ends.
         """
+        attempts = self._attempts
+        before = len(attempts)
         for task_id in task_ids:
             if task_id in self._running:
                 raise InvariantViolationError(
                     "running task forgotten", time=self.now, event="forget", task_id=task_id
                 )
-            self._attempts.pop(task_id, None)
-            self._completed.discard(task_id)
+            attempts.pop(task_id, None)
             self._killed.discard(task_id)
+        # Hash tables keep their peak size through deletions.  Once half
+        # the entries are gone, copy the live ones into right-sized tables
+        # (amortized O(1) per forgotten task).
+        if 2 * len(attempts) <= before:
+            self._attempts = dict(attempts)
+            self._killed = set(self._killed)
 
     def on_end(self, time: Time) -> None:
         """Final check when the producer believes the run is over."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.batch import BatchEngine, compile_batch, run_batch
+from repro.batch import BatchEngine, compile_batch, compile_structure, run_batch
 from repro.core.allocator import LpaAllocator
 from repro.exceptions import BatchUnsupportedError, SimulationError
 from repro.graph.generators import fork_join, layered_random
@@ -61,9 +61,11 @@ class TestDropInSimulate:
         assert batched.stats is not None
         assert batched.stats.tasks_started == len(graph)
         assert batched.stats.events > 0
-        # Eq. (1) model groups resolve through the vectorized batch
-        # decision: zero scalar allocator calls.
-        assert batched.stats.allocator_calls == 0
+        # One allocate_cached call per cache-key group; on a fresh
+        # allocator each of them is a miss.
+        groups = len(compile_structure(graph).group_rep)
+        assert batched.stats.allocator_calls == groups
+        assert batched.stats.alloc_cache_misses == groups
 
     def test_metrics_registry_sees_batch_counters(self):
         from repro.obs.metrics import MetricsRegistry, collect_metrics

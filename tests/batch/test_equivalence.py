@@ -7,7 +7,7 @@ insertion order), makespans — never approximate closeness.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.batch import run_batch
@@ -22,7 +22,14 @@ from repro.graph.generators import (
     layered_random,
 )
 from repro.sim import ListScheduler, StaticGraphSource
-from repro.speedup import AmdahlModel, CommunicationModel, GeneralModel, RooflineModel
+from repro.speedup import (
+    AmdahlModel,
+    CommunicationModel,
+    GeneralModel,
+    PowerLawModel,
+    RooflineModel,
+    TabulatedModel,
+)
 from repro.speedup.random import RandomModelFactory
 
 
@@ -60,6 +67,35 @@ models = st.one_of(
         st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
         max_parallelism=st.integers(1, 64),
     ),
+    # Models outside Equation (1): the allocator's generic search.
+    st.builds(PowerLawModel, st.floats(1.0, 100.0), st.floats(0.05, 1.0)),
+    st.builds(TabulatedModel, st.lists(st.floats(0.5, 100.0), min_size=1, max_size=12)),
+)
+
+
+def fixed_dag(*models):
+    """A chain over the first half of ``models``, the rest independent."""
+    g = TaskGraph()
+    for i, model in enumerate(models):
+        g.add_task(i, model)
+    for i in range(len(models) // 2 - 1):
+        g.add_edge(i, i + 1)
+    return g
+
+
+#: Equation (1) with c > 0 and a bounded p̃ on both sides of sqrt(w/c).
+BOUNDED_COMM = fixed_dag(
+    GeneralModel(90.0, 1.5, 0.02, max_parallelism=40),
+    GeneralModel(90.0, 1.5, 0.02, max_parallelism=80),
+    GeneralModel(5000.0, 0.0, 0.3, max_parallelism=7),
+    GeneralModel(12.0, 0.5, 0.9, max_parallelism=3),
+)
+#: Models without the Equation (1) closed forms.
+GENERIC_MODELS = fixed_dag(
+    PowerLawModel(60.0, exponent=0.6),
+    TabulatedModel([20.0, 11.0, 8.0, 6.5, 6.0]),
+    PowerLawModel(7.0, exponent=0.3),
+    TabulatedModel([9.0, 10.0, 4.0]),
 )
 
 
@@ -84,7 +120,11 @@ def random_dags(draw):
 
 
 class TestHypothesisEquivalence:
-    @given(graph=random_dags(), P=st.sampled_from([1, 2, 5, 16, 64]))
+    @given(graph=random_dags(), P=st.sampled_from([1, 2, 5, 7, 16, 64, 1000]))
+    @example(graph=BOUNDED_COMM, P=1000)
+    @example(graph=BOUNDED_COMM, P=7)
+    @example(graph=GENERIC_MODELS, P=1000)
+    @example(graph=GENERIC_MODELS, P=2)
     @settings(max_examples=60, deadline=None)
     def test_random_dags_all_models(self, graph, P):
         assert_identical(*run_both(graph, P))
@@ -92,16 +132,18 @@ class TestHypothesisEquivalence:
     @given(
         family=st.sampled_from(MODEL_FAMILIES),
         seed=st.integers(0, 5000),
-        P=st.sampled_from([2, 7, 24, 64]),
+        P=st.sampled_from([1, 2, 7, 24, 64, 1000]),
         mu=st.sampled_from([0.211, 0.271, 0.324, 0.38]),
     )
+    @example(family="general", seed=1, P=1000, mu=0.324)
+    @example(family="general", seed=2, P=1, mu=0.271)
     @settings(max_examples=40, deadline=None)
     def test_generator_shapes(self, family, seed, P, mu):
         factory = RandomModelFactory(family=family, seed=seed)
         graph = layered_random(3, 5, factory, edge_probability=0.4, seed=seed)
         assert_identical(*run_both(graph, P, mu))
 
-    @given(seed=st.integers(0, 5000), P=st.sampled_from([1, 3, 17, 80]))
+    @given(seed=st.integers(0, 5000), P=st.sampled_from([1, 2, 3, 7, 17, 80, 1000]))
     @settings(max_examples=30, deadline=None)
     def test_erdos_renyi(self, seed, P):
         factory = RandomModelFactory(family="general", seed=seed)
@@ -110,17 +152,17 @@ class TestHypothesisEquivalence:
 
 
 class TestDeterministicShapes:
-    @pytest.mark.parametrize("P", [1, 2, 16, 128])
+    @pytest.mark.parametrize("P", [1, 2, 7, 16, 128, 1000])
     def test_chain(self, P):
         factory = RandomModelFactory(family="communication", seed=11)
         assert_identical(*run_both(chain(20, factory), P))
 
-    @pytest.mark.parametrize("P", [1, 5, 64])
+    @pytest.mark.parametrize("P", [1, 2, 5, 7, 64, 1000])
     def test_independent(self, P):
         factory = RandomModelFactory(family="roofline", seed=5)
         assert_identical(*run_both(independent_tasks(60, factory), P))
 
-    @pytest.mark.parametrize("P", [2, 9, 33])
+    @pytest.mark.parametrize("P", [1, 2, 7, 9, 33, 1000])
     def test_fork_join(self, P):
         factory = RandomModelFactory(family="amdahl", seed=2)
         assert_identical(*run_both(fork_join(7, factory, stages=3), P))

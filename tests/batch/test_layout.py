@@ -83,20 +83,23 @@ class TestCompileRun:
             assert run.initial[col] == alloc.initial
             assert run.duration[col] == tasks[tid].model.time(alloc.final)
 
-    def test_lpa_groups_resolve_without_scalar_calls(self):
-        # The LPA family's batch decision covers whole cache-key groups
-        # with array math: zero scalar allocator calls for Eq. (1) models.
+    def test_lpa_groups_resolve_with_one_call_per_group(self):
+        # Fifty tasks share one cache key: compilation consults the
+        # allocator once, and a fresh allocator records that one miss.
         g = TaskGraph()
         model = CommunicationModel(25.0, 0.25)
         for i in range(50):
             g.add_task(i, model)
-        run = compile_run(compile_structure(g), 8, LpaAllocator(0.324), g)
-        assert run.allocator_calls == 0
-        assert run.vectorized_groups == 1
+        s = compile_structure(g)
+        run = compile_run(s, 8, LpaAllocator(0.324), g)
+        assert len(s.group_rep) == 1
+        assert run.allocator_calls == 1
+        assert run.alloc_cache_misses == 1
+        assert run.alloc_cache_hits == 0
 
-    def test_overridden_lpa_falls_back_to_one_call_per_group(self):
-        # A subclass changing the decision math must not be vectorized;
-        # it keeps the per-group scalar path (one call per group).
+    def test_overridden_lpa_resolves_one_call_per_group(self):
+        # A subclass changing the decision math is consulted like any
+        # allocator, once per group, and its decisions are the ones used.
         class ShiftedLpa(LpaAllocator):
             def initial_allocation(self, model, P):
                 return max(1, super().initial_allocation(model, P) - 1)
@@ -106,10 +109,12 @@ class TestCompileRun:
         for i in range(50):
             g.add_task(i, model)
         allocator = ShiftedLpa(0.324)
-        assert allocator.allocate_batch([model], 8) is None
         run = compile_run(compile_structure(g), 8, allocator, g)
         assert run.allocator_calls == 1
-        assert run.vectorized_groups == 0
+        assert run.alloc_cache_misses == 1
+        expected = ShiftedLpa(0.324).allocate(model, 8)
+        assert run.procs.tolist() == [expected.final] * 50
+        assert run.initial.tolist() == [expected.initial] * 50
 
     def test_uses_free_allocator_declined(self):
         from repro.baselines.online import AvailableProcessorsAllocator

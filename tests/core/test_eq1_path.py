@@ -1,7 +1,7 @@
 """Parity of LpaAllocator's Equation (1) decision path with the generic one.
 
 ``LpaAllocator.initial_allocation`` resolves models admitted by
-:func:`repro.core.lpa_batch.eq1_eligible` through ``_initial_eq1``, which
+:func:`repro.core.allocator.eq1_eligible` through ``_initial_eq1``, which
 writes ``time(p)`` out inline instead of probing the model.  The oracle is
 the generic path it replaces: ``GeneralModel.max_useful_processors``
 followed by ``LpaAllocator._initial_monotonic``.  Both must agree exactly,
@@ -22,16 +22,17 @@ from hypothesis import strategies as st
 
 from repro.adversary import instance_for_family
 import repro.core.allocator as allocator_module
-from repro.core.allocator import LpaAllocator
+from repro.core.allocator import LpaAllocator, eq1_eligible
 from repro.core.constants import MU_MAX, MU_STAR
-from repro.core.lpa_batch import eq1_eligible
 from repro.exceptions import AllocationError, InvalidParameterError
 from repro.sim.allocation import Allocation
 from repro.speedup import (
     AmdahlModel,
     CommunicationModel,
     GeneralModel,
+    PowerLawModel,
     RooflineModel,
+    TabulatedModel,
 )
 
 RTOLS = (0.0, 1e-9, 1e-3)
@@ -376,3 +377,41 @@ class TestRouting:
         assert seen == [64]
         assert not Recording._own_decisions
         assert LpaAllocator._own_decisions
+
+
+# ----------------------------------------------------------------------
+# Eligibility
+# ----------------------------------------------------------------------
+class TestEligibility:
+    def test_eq1_families_are_eligible(self):
+        assert eq1_eligible(GeneralModel(50.0, d=3.0, c=0.25, max_parallelism=40))
+        assert eq1_eligible(RooflineModel(60.0, 12))
+        assert eq1_eligible(CommunicationModel(60.0, 0.4))
+        assert eq1_eligible(AmdahlModel(60.0, 2.0))
+
+    def test_non_general_models_are_not(self):
+        assert not eq1_eligible(PowerLawModel(60.0))
+        assert not eq1_eligible(TabulatedModel([10.0, 6.0, 5.0]))
+
+    def test_overriding_the_closed_forms_disqualifies(self):
+        class CustomTime(GeneralModel):
+            def time(self, p):
+                return super().time(p) * 1.0
+
+        class CustomPmax(GeneralModel):
+            def max_useful_processors(self, P):
+                return super().max_useful_processors(P)
+
+        class CustomArea(GeneralModel):
+            def area(self, p):
+                return super().area(p)
+
+        assert not eq1_eligible(CustomTime(60.0))
+        assert not eq1_eligible(CustomPmax(60.0))
+        assert not eq1_eligible(CustomArea(60.0))
+
+    def test_non_monotonic_hint_disqualifies(self):
+        class Unhinted(GeneralModel):
+            monotonic_hint = False
+
+        assert not eq1_eligible(Unhinted(60.0))

@@ -11,6 +11,7 @@ with the number of tasks, and the bytes hashed stay those of
 
 import gc
 import hashlib
+import sys
 import tracemalloc
 import weakref
 
@@ -135,6 +136,28 @@ class TestModelLifetime:
         assert seen >= {"blocked", "queued", "running", "killed", "done", "cancelled"}
         assert all(ref() is None for ref in refs.values())
 
+
+class TestCheckerTables:
+    def test_forgetting_a_drained_session_shrinks_the_checker_tables(self):
+        # Forgetting a session must not leave the checker's tables at
+        # their peak size (about 235 KB after 4,000 tasks) for the life
+        # of the pool: they keep only the live tenant's task.
+        pool = SharedPool(ServiceConfig(P=64, family="amdahl"))
+        pool.admit_tenant("live")
+        pool.submit("live", "x", AmdahlModel(1e6, 1.0), ())
+        pool.admit_tenant("big")
+        for i in range(4000):
+            pool.submit("big", f"t{i}", AmdahlModel(1.0 + i % 7, 0.25), ())
+            if i % 100 == 99:
+                pool.tick(64)
+        checker = pool.checker
+        assert sys.getsizeof(checker._attempts) > 50_000
+        pool.close_tenant("big")
+        while pool.tenants["big"].status != "finished":
+            pool.tick(64)
+        assert list(checker._attempts) == ["live/x"]
+        sizes = [sys.getsizeof(t) for t in (checker._attempts, checker._killed)]
+        assert max(sizes) <= 1024, sizes
 
 def drained_pool(tenants, tasks):
     """A pool that ran ``tenants`` layered sessions of ``tasks`` tasks to the end.

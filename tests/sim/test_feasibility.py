@@ -329,6 +329,23 @@ class TestCheckerRules:
         c.on_end(1.0)
         c.on_reveal(2.0, "a")  # the id is free for a new session
 
+    def test_forget_keeps_the_live_entries_of_shrunk_tables(self):
+        c = InvariantChecker(4)
+        for i in range(100):
+            c.on_reveal(0.0, i)
+        for i in (0, 1):
+            c.on_start(0.0, i, 1)
+            c.on_kill(0.0, i)
+        c.on_start(0.0, 0, 1, 2)
+        c.on_complete(1.0, 0)
+        c.forget(range(2, 100))  # over half gone: the tables are rebuilt
+        assert list(c._attempts) == [0, 1] and c._killed == {1}
+        with pytest.raises(InvariantViolationError, match="after completing"):
+            c.on_start(1.0, 0, 1, 3)
+        c.on_start(1.0, 1, 1, 2)
+        c.on_complete(2.0, 1)
+        c.on_end(2.0)
+
     def test_tracer_facet_ignores_unchecked_events(self):
         c = InvariantChecker(4)
         tracer = MultiTracer(c)
