@@ -61,10 +61,25 @@ __all__ = [
 ]
 
 
-#: Per-class memo of :func:`eq1_eligible`'s method-identity checks.  A
-#: class's methods are fixed once it is defined; ``monotonic_hint`` may be
-#: set per instance, so it is read from the model on every call.
-_EQ1_CLASSES: dict[type, bool] = {}
+class _Eq1Classes(dict[type[SpeedupModel], bool]):
+    """Per-class memo of :func:`eq1_eligible`'s method-identity checks.
+
+    A class's methods are fixed once it is defined, so ``_EQ1_CLASSES[cls]``
+    checks them on the class's first lookup only; ``monotonic_hint`` may be
+    set per instance, so it is read from the model on every call.
+    """
+
+    def __missing__(self, cls: type[SpeedupModel]) -> bool:
+        eligible = self[cls] = (
+            issubclass(cls, GeneralModel)
+            and cls.time is GeneralModel.time
+            and cls.max_useful_processors is GeneralModel.max_useful_processors
+            and cls.area is SpeedupModel.area
+        )
+        return eligible
+
+
+_EQ1_CLASSES = _Eq1Classes()
 
 
 def eq1_eligible(model: SpeedupModel) -> TypeGuard[GeneralModel]:
@@ -76,16 +91,7 @@ def eq1_eligible(model: SpeedupModel) -> TypeGuard[GeneralModel]:
     math does not) and whose monotonic hint routes the allocator into the
     binary-search branch :meth:`LpaAllocator._initial_eq1` mirrors.
     """
-    cls = type(model)
-    eligible = _EQ1_CLASSES.get(cls)
-    if eligible is None:
-        eligible = _EQ1_CLASSES[cls] = (
-            issubclass(cls, GeneralModel)
-            and cls.time is GeneralModel.time
-            and cls.max_useful_processors is GeneralModel.max_useful_processors
-            and cls.area is SpeedupModel.area
-        )
-    return eligible and model.monotonic_hint is True
+    return _EQ1_CLASSES[type(model)] and model.monotonic_hint is True
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,10 +171,16 @@ class LpaAllocator(Allocator):
         if type(P) is not int or P < 1:
             P = check_positive_int(P, "P")
         cap = math.ceil(self.mu * P)
-        if self._own_decisions and eq1_eligible(model):
-            # 1 <= initial <= p_max and 1 <= cap: valid by construction.
-            initial = self._initial_eq1(model, P)
-            return Allocation._trusted(initial, cap if initial > cap else initial)
+        if self._own_decisions and _EQ1_CLASSES[type(model)] and model.monotonic_hint is True:
+            # The memo admits GeneralModel classes only.
+            initial = self._initial_eq1(model, P)  # type: ignore[arg-type]
+            # 1 <= initial <= p_max and 1 <= cap: valid by construction,
+            # so the frozen dataclass is filled without its validating
+            # ``__init__``.
+            alloc = object.__new__(Allocation)
+            object.__setattr__(alloc, "initial", initial)
+            object.__setattr__(alloc, "final", cap if initial > cap else initial)
+            return alloc
         initial = self.initial_allocation(model, P)
         return Allocation(initial=initial, final=cap if initial > cap else initial)
 
@@ -209,6 +221,8 @@ class LpaAllocator(Allocator):
     def initial_allocation(self, model: SpeedupModel, P: int) -> int:
         """Step 1: the constrained area-minimizing allocation :math:`p_j`."""
         if self._own_decisions and eq1_eligible(model):
+            if type(P) is not int or P < 1:
+                P = model._check_P(P)
             return self._initial_eq1(model, P)
         p_max = model.max_useful_processors(P)
         t_min = model.time(p_max)
@@ -227,26 +241,33 @@ class LpaAllocator(Allocator):
         a closed-form boundary that its neighbouring probes confirm is the
         one the monotone bisection reaches; a guess that fails its check
         runs the bisection.  Probes are ints in
-        ``[1, p_max]`` and skip ``SpeedupModel._check_p``; ``P`` is
-        validated once.
+        ``[1, p_max]`` and skip ``SpeedupModel._check_p``; ``P`` must be
+        an ``int >= 1``, which the callers check once.
         """
-        if type(P) is not int or P < 1:
-            P = model._check_P(P)
         w = model.w
         d = model.d
         c = model.c
-        pt: float = math.inf if model.max_parallelism is None else model.max_parallelism
-        p_max = P if P < pt else int(pt)
+        pt = model.max_parallelism
+        p_max = P if pt is None or P < pt else int(pt)
+        lo = p_max
         if c != 0.0:
+            # Equation (5).  ``x or 1`` is max(1, x) for the ints x >= 0
+            # that floor and ceil return here, without max()'s cost.
             s = math.sqrt(w / c)
-            lo = max(1, math.floor(s))
-            if lo < p_max:  # else both candidates clamp to p_max
-                # hi <= lo + 1 <= p_max <= p̃, so min(p, p̃) is p for both.
-                hi = max(1, math.ceil(s))
-                p_max = lo if w / lo + d + c * (lo - 1) <= w / hi + d + c * (hi - 1) else hi
+            lo = math.floor(s) or 1
         # From here on every probe p lies in [1, p_max] ⊆ [1, p̃], where
         # min(p, p̃) is p itself.
-        t_min = w / p_max + d + c * (p_max - 1)
+        if lo < p_max:  # else both candidates clamp to p_max
+            # hi <= lo + 1 <= p_max, and t_min is the faster one's probe.
+            hi = math.ceil(s) or 1
+            t_min = w / lo + d + c * (lo - 1)
+            t_hi = w / hi + d + c * (hi - 1)
+            if t_min <= t_hi:
+                p_max = lo
+            else:
+                p_max, t_min = hi, t_hi
+        else:
+            t_min = w / p_max + d + c * (p_max - 1)
         threshold = self.delta * t_min * (1.0 + self.rtol)
         p_lo = 0
         if w / 1 + d + c * 0 <= threshold:
@@ -255,7 +276,10 @@ class LpaAllocator(Allocator):
             # t(p) = fl(fl(w/p) + d) is non-increasing: a verified boundary
             # is the bisection's, which also takes p_max as feasible unprobed.
             q = w / (threshold - d)
-            g = p_max if q >= p_max else max(2, math.ceil(q))
+            if q >= p_max:
+                g = p_max
+            elif (g := math.ceil(q)) < 2:
+                g = 2
             if (g == 2 or w / (g - 1) + d > threshold) and (g == p_max or w / g + d <= threshold):
                 p_lo = g
         if not p_lo:
@@ -275,7 +299,10 @@ class LpaAllocator(Allocator):
             # half its step d: the area is non-decreasing, so a verified
             # plateau end in [p_lo, p_max) is the bisection's.
             q = (area_budget - w) / d
-            g = p_max - 1 if q >= p_max - 1 else max(p_lo, math.floor(q))
+            if q >= p_max - 1:
+                g = p_max - 1
+            elif (g := math.floor(q)) < p_lo:
+                g = p_lo
             if g * (w / g + d) <= area_budget and (
                 g + 1 == p_max or (g + 1) * (w / (g + 1) + d) > area_budget
             ):

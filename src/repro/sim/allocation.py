@@ -52,15 +52,6 @@ class Allocation:
                 f"invalid allocation: final={self.final}, initial={self.initial}"
             )
 
-    @classmethod
-    def _trusted(cls, initial: int, final: int) -> "Allocation":
-        """An allocation whose caller guarantees ``1 <= final <= initial``,
-        built without the dataclass ``__init__`` and its validation."""
-        alloc = object.__new__(cls)
-        object.__setattr__(alloc, "initial", initial)
-        object.__setattr__(alloc, "final", final)
-        return alloc
-
 
 class AllocationCacheInfo(NamedTuple):
     """Counters of one allocator's memoization cache (see ``cache_info()``)."""

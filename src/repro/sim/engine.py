@@ -505,10 +505,10 @@ class SlotLoop:
         self.use_task_alloc = callable(self.allocate_task)
         # Reveal table: ``resolved[group]`` is the (allocation, procs,
         # duration) of a model group, filled on the group's first reveal
-        # and read by every later task of the group.  A first reveal looks
-        # the model's cache_key up in ``keyed``, so distinct model objects
-        # with equal keys share one allocator consultation.  Equal keys
-        # mean the same time function (the cache_key contract), so the
+        # and read by every later task of the group.  ``keyed`` maps each
+        # cache_key to the first group that carried it, so distinct model
+        # objects with equal keys share one allocator consultation.  Equal
+        # keys mean the same time function (the cache_key contract), so the
         # table is transparent.  It is off exactly where the LRU would be
         # bypassed for every task, and it holds decisions at P only.
         self.use_table = callable(self.allocate_keyed) and not (
@@ -516,7 +516,7 @@ class SlotLoop:
             or getattr(allocator, "uses_free", False)
             or getattr(allocator, "cache_maxsize", 0) <= 0
         )
-        self.keyed: dict[object, Resolved] = {}
+        self.keyed: dict[object, int] = {}
         cache_info = getattr(allocator, "cache_info", None)
         self.cache_info = cache_info if callable(cache_info) else None
         self.cache_info0 = self.cache_info() if self.cache_info is not None else None
@@ -580,7 +580,8 @@ class SlotLoop:
         # recovery).
         direct = capacity == self.P and self.tenancy is None
         # An untraced miss has no cache outcome to classify, so it calls
-        # the allocator's keyed entry point without consult()'s wrapping.
+        # the allocator's keyed entry point and checks the allocation
+        # inline, without consult()'s wrapping.
         keyed_miss = self.use_table and self.emit is None
         entry: _Entry
         res: Resolved | None
@@ -598,28 +599,37 @@ class SlotLoop:
                 cache = "hit"
             else:
                 model = self.tasks[slot].model
+                group = groups[slot]
                 key = None
                 if self.use_table:
                     # The group's first reveal (or any reveal of a
                     # keyless group): another model object with an
-                    # equal key may have been resolved already.
+                    # equal key may have been resolved already.  A key
+                    # maps to the first group that carried it, so one
+                    # hash both looks it up and claims it.
                     key = model.cache_key()
                     if key is not None:
                         try:
-                            res = self.keyed.get(key)
+                            first = self.keyed.setdefault(key, group)
                         except TypeError:  # unhashable key: the LRU bypasses too
                             key = None
+                        else:
+                            if first != group:
+                                res = resolved[first]
                 if res is not None:
                     self.allocator._cache_hits += 1
                     cache = "hit"
                 elif keyed_miss:
-                    res = self.resolve(slot, model, self.allocate_keyed(
-                        model, key, capacity, self.free), capacity)
+                    alloc = self.allocate_keyed(model, key, capacity, self.free)
+                    final = alloc.final
+                    if not 1 <= final <= capacity:
+                        self.resolve(slot, model, alloc, capacity)  # raises
+                    res = (alloc, final, model.time(final))
                     cache = "unknown"
                 else:
                     res, cache = self.consult(slot, model, capacity, key)
                 if key is not None:
-                    resolved[groups[slot]] = self.keyed[key] = res
+                    resolved[group] = res
             alloc, final, duration = res
             if observed:
                 self.observe_reveal(slot, alloc, cache)

@@ -157,9 +157,10 @@ class SpeedupModel(abc.ABC):
         families override it with fully vectorized NumPy expressions.
 
         The dtype is pinned to ``np.float64`` (here and in every override)
-        so vectorized paths match scalar ``time`` bit-for-bit regardless of
-        platform default-dtype conventions — the batch engine's digests
-        depend on it.
+        so the vector matches scalar ``time`` bit-for-bit regardless of
+        platform default-dtype conventions.  In this package only
+        :meth:`areas` and :meth:`is_monotonic` read it; allocators, the
+        engine and the batch engine evaluate ``time`` point by point.
         """
         P = self._check_P(P)
         return np.fromiter(

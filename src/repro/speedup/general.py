@@ -95,8 +95,10 @@ class GeneralModel(SpeedupModel):
 
         Pinned to ``float64`` end to end: IEEE-754 double arithmetic in the
         same operation order as the scalar ``time``, so the two agree
-        bit-for-bit and vectorized consumers (the batch engine, allocator
-        searches) can never drift on platform default dtypes.
+        bit-for-bit on every platform.  Its callers here are
+        :meth:`~repro.speedup.SpeedupModel.areas` and
+        :meth:`~repro.speedup.SpeedupModel.is_monotonic`; no allocator or
+        engine reads it.
         """
         P = self._check_P(P)
         p = np.arange(1, P + 1, dtype=np.float64)

@@ -295,8 +295,12 @@ class TestClosedFormProposals:
 # ----------------------------------------------------------------------
 class TestTrustedAllocation:
     @pytest.mark.parametrize(("initial", "final"), [(1, 1), (7, 3), (4096, 4096)])
-    def test_behaves_like_a_validated_one(self, initial, final):
-        trusted = Allocation._trusted(initial, final)
+    def test_behaves_like_a_validated_one(self, eq1_calls, initial, final):
+        # A roofline model's Step 1 picks p_max = p̃, and mu = 1/4 on
+        # P = 4 * final caps it at final.
+        model = RooflineModel(100.0, initial)
+        trusted = LpaAllocator(0.25).allocate(model, 4 * final)
+        assert eq1_calls == [model]
         checked = Allocation(initial=initial, final=final)
         assert type(trusted) is Allocation
         assert trusted == checked and hash(trusted) == hash(checked)

@@ -325,6 +325,21 @@ class TestBoundedMemory:
         small, large = overhead(500), overhead(2000)
         assert large < 1.5 * small + 100_000, (small, large)
 
+    def test_recovery_peak_is_bounded_per_task(self, tmp_path):
+        # The overhead above reads memory a recovery keeps as free; the
+        # peak itself counts it.  A recovered 2,000-task session peaks
+        # near 390 B a task (the pool, its tables and one record in flight).
+        tasks = 2000
+        path = tmp_path / "wal.jsonl"
+        write_service_journal(path, tasks)
+        tracemalloc.start()
+        try:
+            ServiceCore.recover(path, reopen=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500 * tasks, peak
+
     def test_recovered_tasks_share_their_tenant_name(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         write_service_journal(path, 30)
