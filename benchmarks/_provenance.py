@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from pathlib import Path
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -31,11 +32,28 @@ def bench_label(default: str) -> str:
     return os.environ.get("REPRO_BENCH_LABEL") or default
 
 
-def bench_commit() -> str:
-    """Short commit hash stamped into new BENCH entries."""
+def bench_commit(root: Path = BENCH_PATH.parent) -> str:
+    """Short commit hash stamped into new BENCH entries.
+
+    ``<hash>-dirty`` when a tracked file other than the ``BENCH_*.json``
+    trajectories (which benchmark runs append to) differs from ``HEAD``:
+    such an entry measured code that no commit holds.
+    """
     from repro.runtime.manifest import current_commit
 
-    return current_commit(cwd=Path(__file__).resolve().parent)
+    commit = current_commit(cwd=root)
+    if commit == "unknown":
+        return commit
+    try:
+        proc = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", ".", ":(exclude)BENCH_*.json"],
+            capture_output=True,
+            timeout=10.0,
+            cwd=str(root),
+        )
+    except (OSError, subprocess.SubprocessError):
+        return commit
+    return f"{commit}-dirty" if proc.returncode == 1 else commit
 
 
 def validate_engine_bench(path: Path = BENCH_PATH) -> list[str]:

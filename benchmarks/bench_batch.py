@@ -4,7 +4,7 @@ Times the vectorized structure-of-arrays engine (:func:`repro.batch.run_batch`)
 against the reference event loop on the ``wide`` scenario (5000
 independent communication-model tasks, P=64) and appends the throughput
 numbers to the repo-root ``BENCH_engine.json`` trajectory as
-``"benchmark": "batch"`` entries.
+``"benchmark": "batch"`` entries, from sessions that passed.
 
 Scenarios, separated honestly:
 
@@ -102,10 +102,14 @@ def run_scaling_sweep(sizes=SWEEP_SIZES, rounds=2):
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _append_batch_entry():
-    """Append the accumulated batch timings to BENCH_engine.json."""
+def _append_batch_entry(request):
+    """Append the accumulated batch timings to BENCH_engine.json.
+
+    Only when every test of the session so far passed: a failed gate's
+    timings are not a record of working code.
+    """
     yield
-    if not (_BATCH_BENCHMARKS or _SWEEP_RESULTS):
+    if request.session.testsfailed or not (_BATCH_BENCHMARKS or _SWEEP_RESULTS):
         return
     _flush_entry(_BATCH_BENCHMARKS, _SWEEP_RESULTS)
 

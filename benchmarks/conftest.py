@@ -10,12 +10,14 @@ the reproduced tables printed as the paper reports them.
 
 Engine benchmarks (``bench_engine.py``) additionally append their timings
 and :class:`~repro.sim.engine.EngineStats` counters to the repo-root
-``BENCH_engine.json`` trajectory at session end, so every benchmark run
-extends the performance record (see ``docs/performance.md``).
+``BENCH_engine.json`` trajectory at the end of a session that passed, so
+every passing benchmark run extends the performance record (see
+``docs/performance.md``).
 
 Every trajectory entry must carry a human-readable ``label`` and the
-short ``commit`` hash of the code it measured — an unlabeled timing is
-unusable as a performance record.  The schema is validated here at
+short ``commit`` hash of the code it measured (``<hash>-dirty`` for a
+tree with uncommitted changes) — an unlabeled timing is unusable as a
+performance record.  The schema is validated here at
 session start (on the existing file) and again after appending; set
 ``REPRO_BENCH_LABEL`` to override the default label of new entries.
 """
@@ -83,7 +85,13 @@ def record_session_field():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Append this session's engine-benchmark timings to BENCH_engine.json."""
+    """Append this session's engine-benchmark timings to BENCH_engine.json.
+
+    Only a session that passed appends: a failed gate's timings are not a
+    record of working code.
+    """
+    if exitstatus != pytest.ExitCode.OK:
+        return
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not getattr(bench_session, "benchmarks", None):
         return

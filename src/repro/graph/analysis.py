@@ -8,9 +8,13 @@ both lower bounds on the optimal makespan (Lemma 2, see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import methodcaller
+from typing import Callable
 
-from repro.graph.taskgraph import TaskGraph
+from repro.graph.taskgraph import CompiledGraph, TaskGraph
+from repro.speedup.base import SpeedupModel
 from repro.types import TaskId
 from repro.util.validation import check_positive_int
 
@@ -23,14 +27,32 @@ __all__ = [
 ]
 
 
+def _slot_values(
+    compiled: CompiledGraph, value: Callable[[SpeedupModel], float]
+) -> list[float]:
+    """Slot -> ``value(task.model)``, called once per model group.
+
+    Groups are the tasks sharing one model object (see
+    :meth:`TaskGraph.compiled`); they are asked in first-appearance
+    order, so a model that raises surfaces as it did task by task.
+    """
+    groups = compiled.groups
+    if compiled.group_count == len(groups):  # every task has its own model
+        return [value(task.model) for task in compiled.tasks]
+    # Group -> one of its tasks; keys ascend from 0 by first appearance.
+    of_group = [value(task.model) for task in dict(zip(groups, compiled.tasks)).values()]
+    return list(map(of_group.__getitem__, groups))
+
+
 def minimum_total_area(graph: TaskGraph, P: int) -> float:
-    """Return :math:`A_{\\min} = \\sum_j a^{\\min}_j` (Definition 1)."""
+    """Return :math:`A_{\\min} = \\sum_j a^{\\min}_j` (Definition 1).
+
+    The per-task areas are summed with ``sum`` in insertion order, the
+    sequence a task-by-task sum sees (Python 3.12's ``sum`` of floats is
+    compensated, so the sequence decides the last bit).
+    """
     P = check_positive_int(P, "P")
-    return sum(task.model.a_min(P) for task in graph.tasks())
-
-
-def _min_times(graph: TaskGraph, P: int) -> dict[TaskId, float]:
-    return {task.id: task.model.t_min(P) for task in graph.tasks()}
+    return sum(_slot_values(graph.compiled(), methodcaller("a_min", P)))
 
 
 def minimum_critical_path(graph: TaskGraph, P: int) -> float:
@@ -40,33 +62,38 @@ def minimum_critical_path(graph: TaskGraph, P: int) -> float:
     minimum execution time :math:`t^{\\min}_j = t_j(p^{\\max}_j)`.
     """
     P = check_positive_int(P, "P")
-    if len(graph) == 0:
-        return 0.0
-    return max(graph.longest_paths(_min_times(graph, P)).values())
+    _, ends = graph.path_ends(_slot_values(graph.compiled(), methodcaller("t_min", P)))
+    return max(ends, default=0.0)
 
 
 def critical_path_tasks(graph: TaskGraph, P: int) -> list[TaskId]:
-    """Return one path achieving :math:`C_{\\min}`, from source to sink."""
+    """Return one path achieving :math:`C_{\\min}`, from source to sink.
+
+    On a tie for the longest path it ends at the first tied task that
+    :meth:`TaskGraph.path_ends` visits.
+    """
     P = check_positive_int(P, "P")
-    if len(graph) == 0:
+    compiled = graph.compiled()
+    t_min = _slot_values(compiled, methodcaller("t_min", P))
+    order, ends = graph.path_ends(t_min)
+    if not order:
         return []
-    t_min = _min_times(graph, P)
-    length = graph.longest_paths(t_min)
+    tasks, index = compiled.tasks, compiled.index
     # Walk backwards from the task with the largest finishing length.
-    current = max(length, key=length.__getitem__)
-    path = [current]
-    preds = graph.predecessors(current)
+    current = max(order, key=ends.__getitem__)
+    path = [tasks[current].id]
+    preds = graph.predecessors(path[-1])
     while preds:
-        target = length[current] - t_min[current]
+        target = ends[current] - t_min[current]
         tol = 1e-12 * max(1.0, abs(target))
-        for p in preds:
-            if abs(length[p] - target) <= tol:
+        for p in map(index.__getitem__, preds):
+            if abs(ends[p] - target) <= tol:
                 current = p
                 break
         else:  # pragma: no cover - defensive; DP guarantees a match
-            current = max(preds, key=length.__getitem__)
-        path.append(current)
-        preds = graph.predecessors(current)
+            current = max(map(index.__getitem__, preds), key=ends.__getitem__)
+        path.append(tasks[current].id)
+        preds = graph.predecessors(path[-1])
     path.reverse()
     return path
 
@@ -97,16 +124,13 @@ def graph_stats(graph: TaskGraph, P: int) -> GraphStats:
     depth layering (an easy-to-compute proxy for maximum task parallelism).
     """
     P = check_positive_int(P, "P")
-    depth_of: dict[TaskId, int] = {}
-    for u in graph.topological_order():
-        depth_of[u] = 1 + max((depth_of[p] for p in graph.predecessors(u)), default=0)
-    layer_sizes: dict[int, int] = {}
-    for d in depth_of.values():
-        layer_sizes[d] = layer_sizes.get(d, 0) + 1
+    # Depth by hop count: the heaviest path with every task weighing 1.
+    _, hops = graph.path_ends([1.0] * len(graph))
+    layer_sizes = Counter(hops)
     return GraphStats(
         n_tasks=len(graph),
         n_edges=graph.num_edges(),
-        depth=max(depth_of.values(), default=0),
+        depth=int(max(layer_sizes, default=0)),
         width=max(layer_sizes.values(), default=0),
         min_total_area=minimum_total_area(graph, P),
         min_critical_path=minimum_critical_path(graph, P),

@@ -10,7 +10,7 @@ from repro.types import TaskId
 __all__ = ["Task"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """One moldable task.
 

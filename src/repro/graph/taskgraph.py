@@ -9,7 +9,7 @@ and from :mod:`networkx` lives in :mod:`repro.graph.io`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.exceptions import CycleError, GraphError, UnknownTaskError
 from repro.graph.task import Task
@@ -188,20 +188,23 @@ class TaskGraph:
         compiled = self._compiled
         if compiled is not None and compiled.version == self._version:
             return compiled
-        index = {t: i for i, t in enumerate(self._tasks)}
-        group_of: dict[int, int] = {}
-        groups = tuple(
-            group_of.setdefault(id(task.model), len(group_of))
-            for task in self._tasks.values()
-        )
+        tasks = tuple(self._tasks.values())
+        slots = range(len(tasks))
+        index = dict(zip(self._tasks, slots))
+        in_degree = tuple(map(len, self._pred.values()))
+        model_ids = [id(task.model) for task in tasks]
+        # Keys keep their first appearance; numbering them in that order
+        # gives the groups.
+        group_of = dict(zip(dict.fromkeys(model_ids), slots))
+        slot_of = index.__getitem__
         compiled = self._compiled = CompiledGraph(
             self._version,
-            tuple(self._tasks.values()),
+            tasks,
             index,
-            tuple(index[t] for t, p in self._pred.items() if not p),
-            tuple(tuple(sorted(map(index.__getitem__, s))) for s in self._succ.values()),
-            tuple(len(p) for p in self._pred.values()),
-            groups,
+            tuple(slot for slot, d in zip(slots, in_degree) if not d),
+            tuple([tuple(sorted(map(slot_of, s))) if s else () for s in self._succ.values()]),
+            in_degree,
+            tuple(map(group_of.__getitem__, model_ids)),
             len(group_of),
         )
         return compiled
@@ -251,21 +254,33 @@ class TaskGraph:
         This is the quantity in Theorem 9's :math:`\\Omega(\\ln D)` bound.
         Returns 0 for an empty graph.
         """
-        hops = self.longest_paths(dict.fromkeys(self._tasks, 1.0))
-        return int(max(hops.values(), default=0))
+        _, hops = self.path_ends([1.0] * len(self._tasks))
+        return int(max(hops, default=0))
 
-    def longest_paths(self, weight: Mapping[TaskId, float]) -> dict[TaskId, float]:
-        """Heaviest path ending at each task, a task weighing ``weight[id]``.
+    def path_ends(self, weight: Sequence[float]) -> tuple[list[int], list[float]]:
+        """Heaviest path ending at each task, the task in slot ``s`` weighing ``weight[s]``.
 
-        One pass over the adjacency in :meth:`topological_order` (which is
-        also the order of the returned dict), with no per-task copy.
+        One Kahn pass over the :meth:`compiled` arrays: a task's end is
+        ``max(pred ends) + weight`` (weights are non-negative).  Returns
+        ``(order, ends)``: the slots in the order the pass visits them
+        (roots ascending, then each task's newly ready successors in
+        ascending slot order), and slot -> end.
         """
-        pred = self._pred
-        length: dict[TaskId, float] = {}
-        for u in self.topological_order():
-            preds = pred[u]
-            length[u] = (max([length[p] for p in preds]) if preds else 0.0) + weight[u]
-        return length
+        compiled = self.compiled()
+        succ = compiled.successors
+        pending = list(compiled.in_degree)
+        # ends[u] holds max(pred ends) until u is visited, then u's end.
+        ends = [0.0] * len(succ)
+        order = list(compiled.roots)
+        for u in order:
+            end = ends[u] = ends[u] + weight[u]
+            for v in succ[u]:
+                if end > ends[v]:
+                    ends[v] = end
+                pending[v] -= 1
+                if not pending[v]:
+                    order.append(v)
+        return order, ends
 
     def ancestors(self, task_id: TaskId) -> set[TaskId]:
         """Return every task that must complete before ``task_id`` can start."""

@@ -126,12 +126,8 @@ def level_decomposition(graph: TaskGraph) -> list[list[TaskId]]:
     layering; the number of levels equals
     :meth:`~repro.graph.TaskGraph.longest_path_length`.
     """
-    depth: dict[TaskId, int] = {}
-    for u in graph.topological_order():
-        depth[u] = 1 + max((depth[p] for p in graph.predecessors(u)), default=0)
-    if not depth:
-        return []
-    levels: list[list[TaskId]] = [[] for _ in range(max(depth.values()))]
-    for task_id in graph:  # keep insertion order within each level
-        levels[depth[task_id] - 1].append(task_id)
+    _, hops = graph.path_ends([1.0] * len(graph))
+    levels: list[list[TaskId]] = [[] for _ in range(int(max(hops, default=0)))]
+    for task_id, depth in zip(graph, hops):  # keep insertion order within each level
+        levels[int(depth) - 1].append(task_id)
     return levels
