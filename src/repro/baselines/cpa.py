@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.priorities import bottom_level
 from repro.exceptions import InvalidParameterError
+from repro.graph.analysis import heaviest_path
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.allocation import Allocation, Allocator
@@ -60,29 +62,6 @@ class AllotmentAllocator(Allocator):
         return Allocation(initial=p, final=p)
 
 
-def _critical_path(
-    graph: TaskGraph, times: dict[TaskId, float]
-) -> tuple[float, list[TaskId]]:
-    """Longest path under the given per-task times; returns (length, path)."""
-    longest: dict[TaskId, float] = {}
-    best_pred: dict[TaskId, TaskId | None] = {}
-    for u in graph.topological_order():
-        pred, length = None, 0.0
-        for q in graph.predecessors(u):
-            if longest[q] > length:
-                pred, length = q, longest[q]
-        longest[u] = length + times[u]
-        best_pred[u] = pred
-    if not longest:
-        return 0.0, []
-    tail = max(longest, key=lambda t: longest[t])
-    path = [tail]
-    while best_pred[path[-1]] is not None:
-        path.append(best_pred[path[-1]])
-    path.reverse()
-    return longest[tail], path
-
-
 def cpa_allotment(
     graph: TaskGraph, P: int, *, max_iterations: int | None = None
 ) -> dict[TaskId, int]:
@@ -90,7 +69,9 @@ def cpa_allotment(
 
     Iterates at most ``max_iterations`` times (default ``n * min(P, 64)``,
     a generous budget that the balance condition normally stops long
-    before).
+    before).  Each step's critical path ends at the first longest task in
+    :meth:`TaskGraph.topological_order` and runs back along
+    :func:`~repro.graph.analysis.heaviest_path`.
     """
     P = check_positive_int(P, "P")
     n = len(graph)
@@ -99,46 +80,43 @@ def cpa_allotment(
     if max_iterations is None:
         max_iterations = n * min(P, 64)
 
-    models = {t.id: t.model for t in graph.tasks()}
-    p_max = {tid: m.max_useful_processors(P) for tid, m in models.items()}
-    alloc = {tid: 1 for tid in models}
-    times = {tid: models[tid].time(1) for tid in models}
-    area = sum(models[tid].area(1) for tid in models)
+    compiled = graph.compiled()
+    models = [task.model for task in compiled.tasks]
+    p_max = [m.max_useful_processors(P) for m in models]
+    alloc = [1] * n
+    times = [m.time(1) for m in models]
+    area = sum(m.area(1) for m in models)
+    topological = list(map(compiled.index.__getitem__, graph.topological_order()))
 
     for _ in range(max_iterations):
-        C, path = _critical_path(graph, times)
-        if C <= area / P:
+        _, ends = graph.path_ends(times)
+        tail = max(topological, key=ends.__getitem__)
+        if ends[tail] <= area / P:
             break
         # Best time-reduction per unit of extra area among growable CP tasks.
-        best_tid, best_gain = None, 0.0
-        for tid in path:
-            p = alloc[tid]
-            if p >= p_max[tid]:
+        best, best_gain = None, 0.0
+        for s in heaviest_path(graph, ends, tail):
+            p = alloc[s]
+            if p >= p_max[s]:
                 continue
-            dt = times[tid] - models[tid].time(p + 1)
-            da = models[tid].area(p + 1) - models[tid].area(p)
+            dt = times[s] - models[s].time(p + 1)
+            da = models[s].area(p + 1) - models[s].area(p)
             gain = dt / max(da, 1e-12)
             if dt > 0 and gain > best_gain:
-                best_tid, best_gain = tid, gain
-        if best_tid is None:
+                best, best_gain = s, gain
+        if best is None:
             break  # critical path saturated: no further useful processors
-        p = alloc[best_tid]
-        area += models[best_tid].area(p + 1) - models[best_tid].area(p)
-        alloc[best_tid] = p + 1
-        times[best_tid] = models[best_tid].time(p + 1)
-    return alloc
+        p = alloc[best]
+        area += models[best].area(p + 1) - models[best].area(p)
+        alloc[best] = p + 1
+        times[best] = models[best].time(p + 1)
+    return {task.id: p for task, p in zip(compiled.tasks, alloc)}
 
 
 def cpa_schedule(graph: TaskGraph, P: int) -> SimulationResult:
     """Run both CPA phases and return the resulting schedule."""
     P = check_positive_int(P, "P")
-    allotment = cpa_allotment(graph, P)
-    from repro.baselines.offline import bottom_levels
-
-    levels = bottom_levels(graph, P)
     scheduler = ListScheduler(
-        P,
-        AllotmentAllocator(allotment),
-        priority=lambda task, alloc: -levels[task.id],
+        P, AllotmentAllocator(cpa_allotment(graph, P)), priority=bottom_level(graph, P)
     )
     return scheduler.run(graph)

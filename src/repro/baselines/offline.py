@@ -15,26 +15,13 @@ from __future__ import annotations
 
 from repro.core.allocator import Allocator, LpaAllocator
 from repro.core.constants import MU_STAR
+from repro.core.priorities import bottom_level
+from repro.graph.analysis import bottom_levels
 from repro.graph.taskgraph import TaskGraph
 from repro.sim.engine import ListScheduler, SimulationResult
-from repro.types import TaskId
 from repro.util.validation import check_positive_int
 
 __all__ = ["bottom_levels", "offline_list_schedule"]
-
-
-def bottom_levels(graph: TaskGraph, P: int) -> dict[TaskId, float]:
-    """Length of the longest min-time path from each task to a sink.
-
-    ``bottom_levels[j]`` includes task ``j``'s own minimum execution time,
-    so the maximum over all tasks equals :math:`C_{\\min}`.
-    """
-    P = check_positive_int(P, "P")
-    level: dict[TaskId, float] = {}
-    for u in reversed(graph.topological_order()):
-        succ_best = max((level[s] for s in graph.successors(u)), default=0.0)
-        level[u] = graph.task(u).model.t_min(P) + succ_best
-    return level
 
 
 def offline_list_schedule(
@@ -58,11 +45,4 @@ def offline_list_schedule(
     P = check_positive_int(P, "P")
     if allocator is None:
         allocator = LpaAllocator(MU_STAR["general"])
-    levels = bottom_levels(graph, P)
-    scheduler = ListScheduler(
-        P,
-        allocator,
-        # Larger bottom level first (more critical work below the task).
-        priority=lambda task, alloc: -levels[task.id],
-    )
-    return scheduler.run(graph)
+    return ListScheduler(P, allocator, priority=bottom_level(graph, P)).run(graph)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from repro.graph.analysis import bottom_levels
 from repro.graph.taskgraph import TaskGraph
-from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.allocator import Allocation
@@ -90,9 +90,6 @@ def bottom_level(graph: TaskGraph, P: int) -> PriorityRule:
     Tasks with more minimum-time work below them in the graph go first —
     the rule behind HEFT and most static list schedulers.
     """
-    from repro.baselines.offline import bottom_levels
-
-    P = check_positive_int(P, "P")
     levels = bottom_levels(graph, P)
 
     def key(task: "Task", alloc: "Allocation") -> float:

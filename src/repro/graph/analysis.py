@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import methodcaller
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.graph.taskgraph import CompiledGraph, TaskGraph
 from repro.speedup.base import SpeedupModel
@@ -22,6 +22,8 @@ __all__ = [
     "minimum_total_area",
     "minimum_critical_path",
     "critical_path_tasks",
+    "heaviest_path",
+    "bottom_levels",
     "graph_stats",
     "GraphStats",
 ]
@@ -70,32 +72,49 @@ def critical_path_tasks(graph: TaskGraph, P: int) -> list[TaskId]:
     """Return one path achieving :math:`C_{\\min}`, from source to sink.
 
     On a tie for the longest path it ends at the first tied task that
-    :meth:`TaskGraph.path_ends` visits.
+    :meth:`TaskGraph.path_ends` visits; see :func:`heaviest_path` for the
+    steps back from there.
+    """
+    P = check_positive_int(P, "P")
+    compiled = graph.compiled()
+    order, ends = graph.path_ends(_slot_values(compiled, methodcaller("t_min", P)))
+    if not order:
+        return []
+    tail = max(order, key=ends.__getitem__)
+    return [compiled.tasks[s].id for s in heaviest_path(graph, ends, tail)]
+
+
+def heaviest_path(graph: TaskGraph, ends: Sequence[float], tail: int) -> list[int]:
+    """Slots of a heaviest path ending at slot ``tail``, from source to ``tail``.
+
+    ``ends`` is slot -> heaviest path ending there, as returned by
+    :meth:`TaskGraph.path_ends`.  Each step back goes to the first
+    predecessor, in insertion order, whose end is the largest among the
+    predecessors' (an exact comparison: no tolerance).
+    """
+    compiled = graph.compiled()
+    tasks, index = compiled.tasks, compiled.index
+    path = [tail]
+    while preds := graph.predecessors(tasks[path[-1]].id):
+        path.append(max(map(index.__getitem__, preds), key=ends.__getitem__))
+    path.reverse()
+    return path
+
+
+def bottom_levels(graph: TaskGraph, P: int) -> dict[TaskId, float]:
+    """Length of the longest min-time path from each task to a sink.
+
+    ``bottom_levels[j]`` includes task ``j``'s own minimum execution time,
+    so the maximum over all tasks equals :math:`C_{\\min}`.
     """
     P = check_positive_int(P, "P")
     compiled = graph.compiled()
     t_min = _slot_values(compiled, methodcaller("t_min", P))
-    order, ends = graph.path_ends(t_min)
-    if not order:
-        return []
-    tasks, index = compiled.tasks, compiled.index
-    # Walk backwards from the task with the largest finishing length.
-    current = max(order, key=ends.__getitem__)
-    path = [tasks[current].id]
-    preds = graph.predecessors(path[-1])
-    while preds:
-        target = ends[current] - t_min[current]
-        tol = 1e-12 * max(1.0, abs(target))
-        for p in map(index.__getitem__, preds):
-            if abs(ends[p] - target) <= tol:
-                current = p
-                break
-        else:  # pragma: no cover - defensive; DP guarantees a match
-            current = max(map(index.__getitem__, preds), key=ends.__getitem__)
-        path.append(tasks[current].id)
-        preds = graph.predecessors(path[-1])
-    path.reverse()
-    return path
+    succ = compiled.successors
+    level = [0.0] * len(t_min)
+    for u in reversed(graph.path_ends(t_min)[0]):
+        level[u] = t_min[u] + max(map(level.__getitem__, succ[u]), default=0.0)
+    return {task.id: lv for task, lv in zip(compiled.tasks, level)}
 
 
 @dataclass(frozen=True)

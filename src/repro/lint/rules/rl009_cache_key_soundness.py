@@ -13,8 +13,7 @@ a crash.
 This rule proves the contract whole-program:
 
 1. **Entry points** — ``allocate``/``allocate_task`` of every class in
-   the ``Allocator`` hierarchy plus ``SpeedupModel.times`` (the
-   vectorized time query), minus allocators declaring
+   the ``Allocator`` hierarchy, minus allocators declaring
    ``uses_free = True``: those bypass the cache *by construction*
    (:attr:`~repro.sim.allocation.Allocator.uses_free` is the structured
    escape hatch) and owe the key nothing.
@@ -93,7 +92,7 @@ class CacheKeySoundnessRule(SemanticRule):
     name = "cache-key-soundness"
     description = (
         "model attributes read by allocator decision code (reachable from "
-        "allocate/allocate_task/times) must be derivable from the model's "
+        "allocate/allocate_task) must be derivable from the model's "
         "cache_key(); uses_free allocators are structurally exempt"
     )
 
@@ -104,7 +103,7 @@ class CacheKeySoundnessRule(SemanticRule):
             return
         model_root_names = {c.qualname for c in model_roots}
 
-        entries = self._entry_functions(project, allocator_roots, model_roots)
+        entries = self._entry_functions(project, allocator_roots)
         graph = CallGraph(project)
         reached = graph.reachable(entries)
         demanded_methods, demanded_attrs = self._collect_demands(
@@ -120,10 +119,7 @@ class CacheKeySoundnessRule(SemanticRule):
 
     # ------------------------------------------------------------------
     def _entry_functions(
-        self,
-        project: Project,
-        allocator_roots: list[ClassInfo],
-        model_roots: list[ClassInfo],
+        self, project: Project, allocator_roots: list[ClassInfo]
     ) -> list[FunctionInfo]:
         entries: dict[str, FunctionInfo] = {}
         for root in allocator_roots:
@@ -140,11 +136,6 @@ class CacheKeySoundnessRule(SemanticRule):
                 cached = project.resolve_method(cls, "allocate_cached")
                 if cached is not None:
                     entries.setdefault(cached.qualname, cached)
-        for root in model_roots:
-            for cls in [root, *project.subclasses(root)]:
-                times = project.resolve_method(cls, "times")
-                if times is not None:
-                    entries.setdefault(times.qualname, times)
         return sorted(entries.values(), key=lambda f: f.qualname)
 
     def _collect_demands(

@@ -10,6 +10,8 @@ ALLOC_ANCHOR = "initial = self.initial_allocation(model, P)"
 EQ1_ANCHOR = "        c = model.c\n"
 INIT_ANCHOR = 'self.w = check_positive(w, "w")'
 KEY_ANCHOR = 'return ("eq1", self.w, self.d, self.c, self.max_parallelism)'
+TIMES_ANCHOR = "        p = np.arange(1, P + 1, dtype=np.float64)\n"
+TIME_ANCHOR = "        if type(p) is not int or p < 1:  # else already a valid allocation\n"
 
 
 class TestFixtures:
@@ -79,7 +81,7 @@ class TestRealTree:
 
     def test_narrowed_cache_key_fires(self):
         # Seeded mutation: drop max_parallelism from GeneralModel's key;
-        # time()/times() still read it, so coverage must break.
+        # time() still reads it, so coverage must break.
         def narrow(path, source):
             # Match the speedup model file, not src/repro/adversary/general.py.
             if path.parent.name == "speedup" and path.name == "general.py":
@@ -92,3 +94,23 @@ class TestRealTree:
         findings = tree_findings("RL009", TREE, mutate=narrow)
         assert findings, "narrowed cache_key was not detected"
         assert all("max_parallelism" in f.message for f in findings)
+
+    def test_uncovered_read_in_times_does_not_fire(self):
+        # The vectorized times() is no decision entry point: no allocator
+        # or engine reads it.  The same uncovered read fires from time().
+        def inject(anchor):
+            def mutate(path, source):
+                if path.parent.name == "speedup" and path.name == "general.py":
+                    assert anchor in source, "time()/times() anchor drifted"
+                    source = source.replace(anchor, "        _ = self.times_knob\n" + anchor, 1)
+                    source = source.replace(
+                        INIT_ANCHOR, INIT_ANCHOR + "\n        self.times_knob = 1.0", 1
+                    )
+                return source
+
+            return mutate
+
+        assert tree_findings("RL009", TREE, mutate=inject(TIMES_ANCHOR)) == []
+        findings = tree_findings("RL009", TREE, mutate=inject(TIME_ANCHOR))
+        assert findings, "the uncovered read in time() was not detected"
+        assert all("times_knob" in f.message for f in findings)
