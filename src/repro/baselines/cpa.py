@@ -87,6 +87,9 @@ def cpa_allotment(
     times = [m.time(1) for m in models]
     area = sum(m.area(1) for m in models)
     topological = list(map(compiled.index.__getitem__, graph.topological_order()))
+    # Per slot, the (gain, extra area, time) of one more processor, kept
+    # until the slot grows; gain is None where growing cannot help.
+    steps: list[tuple[float | None, float, float] | None] = [None] * n
 
     for _ in range(max_iterations):
         _, ends = graph.path_ends(times)
@@ -96,20 +99,28 @@ def cpa_allotment(
         # Best time-reduction per unit of extra area among growable CP tasks.
         best, best_gain = None, 0.0
         for s in heaviest_path(graph, ends, tail):
-            p = alloc[s]
-            if p >= p_max[s]:
-                continue
-            dt = times[s] - models[s].time(p + 1)
-            da = models[s].area(p + 1) - models[s].area(p)
-            gain = dt / max(da, 1e-12)
-            if dt > 0 and gain > best_gain:
+            step = steps[s]
+            if step is None:
+                p = alloc[s]
+                if p >= p_max[s]:
+                    step = (None, 0.0, 0.0)
+                else:
+                    t = models[s].time(p + 1)
+                    dt = times[s] - t
+                    da = models[s].area(p + 1) - models[s].area(p)
+                    step = (dt / max(da, 1e-12) if dt > 0 else None, da, t)
+                steps[s] = step
+            gain = step[0]
+            if gain is not None and gain > best_gain:
                 best, best_gain = s, gain
         if best is None:
             break  # critical path saturated: no further useful processors
-        p = alloc[best]
-        area += models[best].area(p + 1) - models[best].area(p)
-        alloc[best] = p + 1
-        times[best] = models[best].time(p + 1)
+        step = steps[best]
+        assert step is not None  # filled on the path above
+        area += step[1]
+        alloc[best] += 1
+        times[best] = step[2]
+        steps[best] = None
     return {task.id: p for task, p in zip(compiled.tasks, alloc)}
 
 

@@ -12,7 +12,8 @@ it under injected disorder.
 Layering (each module depends only on the ones above it):
 
 * :mod:`~repro.service.config` — frozen service/quota configuration;
-* :mod:`~repro.service.protocol` — typed JSON-lines wire vocabulary;
+* :mod:`~repro.service.protocol` — JSON-lines wire vocabulary (typed
+  requests, plain-dict responses);
 * :mod:`~repro.service.pool` — deterministic multi-tenant virtual-time
   pool (engine-equivalent for a single tenant);
 * :mod:`~repro.service.journal` — write-ahead JSONL journal;

@@ -1,7 +1,7 @@
 """Chaos harness for the scheduler service.
 
 Drives a *real* :class:`~repro.service.server.SchedulerServer` (journal,
-ticker, TCP sessions and all) through seeded rounds of injected
+tick callback, TCP sessions and all) through seeded rounds of injected
 disorder, and checks the service's hard invariants after every round:
 
 * **random client delays** between protocol operations;
@@ -176,12 +176,7 @@ async def _chaos_tenant(
             if rng.random() < spec.malformed_rate:
                 line = MALFORMED_LINES[int(rng.integers(len(MALFORMED_LINES)))]
                 report.malformed_sent += 1
-                await client.send_raw(line)
-                while True:  # skip async notifications racing the rejection
-                    reply = await client._read_payload(timeout=10.0)
-                    if "ok" in reply:
-                        break
-                    client.notifications.append(reply)
+                reply = await client.request_line(line, timeout=10.0)
                 if reply.get("ok") is False and reply.get("error") == "MALFORMED":
                     report.malformed_rejected += 1
                 else:

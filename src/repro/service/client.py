@@ -138,13 +138,19 @@ class ServiceClient:
     async def request(
         self, req: Request, *, timeout: float | None = 30.0
     ) -> dict[str, Any]:
-        """Send one command and return its response payload.
+        """Send one command and return its response payload."""
+        return await self.request_line(encode_line(request_to_dict(req)), timeout=timeout)
+
+    async def request_line(
+        self, line: bytes, *, timeout: float | None = 30.0
+    ) -> dict[str, Any]:
+        """Write one encoded request line and return its response payload.
 
         Notifications that arrive before the response are buffered in
-        :attr:`notifications`, preserving order.
+        :attr:`notifications`, preserving order.  A malformed line is
+        answered with a ``MALFORMED`` rejection like any other response.
         """
-        self.writer.write(encode_line(request_to_dict(req)))
-        await self.writer.drain()
+        await self.send_raw(line)
         while True:
             payload = await self._read_payload(timeout)
             if "ok" in payload or payload.get("event") in ("status", "stats"):

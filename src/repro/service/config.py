@@ -96,7 +96,7 @@ class ServiceConfig:
         Retry policy for attempts killed by injected processor faults
         (virtual-time backoff, exponential with base ``fault_backoff``).
     tick_events:
-        Completion events the server's ticker advances per tick (bounds
+        Completion events the server advances per tick (bounds
         the latency of any single journal record's replay).
     session_idle_timeout_s:
         Wall-clock seconds a connected session may stay silent before the

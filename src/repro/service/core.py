@@ -21,8 +21,9 @@ one (the chaos harness's central assertion).
 
 The core is synchronous and transport-free on purpose: the asyncio
 server (:mod:`repro.service.server`) calls it inline from its session
-coroutines and its ticker, whose single-threaded event loop orders the
-calls; tests drive it directly, and both get identical semantics.
+coroutines and its tick callback, whose single-threaded event loop
+orders the calls; tests drive it directly, and both get identical
+semantics.
 """
 
 from __future__ import annotations

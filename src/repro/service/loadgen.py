@@ -210,13 +210,7 @@ async def _replay_tenant(
                 payload["deps"] = list(op["deps"])
             op_t0 = time.perf_counter()
             for _ in range(200):  # retry_after-driven backpressure loop
-                client.writer.write(encode_line(payload))
-                await client.writer.drain()
-                while True:
-                    reply = await client._read_payload(timeout=60.0)
-                    if "ok" in reply:
-                        break
-                    client.notifications.append(reply)
+                reply = await client.request_line(encode_line(payload), timeout=60.0)
                 if reply.get("ok"):
                     result.tasks_submitted += 1
                     latency.observe((time.perf_counter() - op_t0) * 1e3)

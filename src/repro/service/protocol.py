@@ -1,14 +1,13 @@
 """JSON-lines wire protocol of the scheduler service.
 
 One request or response per line, each a single JSON object.  Requests
-carry an ``op`` tag; responses carry ``ok`` (command outcomes) or
-``event`` (asynchronous notifications streamed to a session).  The
-vocabulary is small and fully typed — every message is a frozen
-dataclass below, mirroring the :mod:`repro.obs.events` idiom — and
-:func:`parse_request` is the *only* deserialization entry point, so every
-malformed input fails in exactly one place with a
-:class:`~repro.exceptions.ProtocolError` (never a stray ``KeyError``
-deep in the service).
+carry an ``op`` tag and are frozen dataclasses below, mirroring the
+:mod:`repro.obs.events` idiom; :func:`parse_request` is the *only*
+deserialization entry point, so every malformed input fails in exactly
+one place with a :class:`~repro.exceptions.ProtocolError` (never a
+stray ``KeyError`` deep in the service).  Responses are plain dicts:
+the server, the core and the pool build them and the client reads
+them as they are.
 
 Requests
 --------
@@ -22,21 +21,28 @@ Requests
 
 Responses
 ---------
-``Ack``          positive command outcome (with per-op payload)
-``Rejection``    negative outcome: error ``code``, message, retry hint
-``TaskDone``     a task finished (virtual start/end, processors)
-``TaskKilled``   an attempt was killed by an injected processor fault
-``GraphDone``    the tenant's whole DAG finished (virtual makespan)
-``Evicted``      session terminated by the service (deadline, shedding,
-                 cancellation); ``reason`` is the error code
-``Status``       snapshot payload
-``Stats``        telemetry payload (metrics registries as dicts)
+A command is answered by an ack, a rejection, or (``status``/``stats``)
+its snapshot event; the other events arrive between commands.
+
+==================  ===================================================
+ack                 ``ok`` (true), ``op``, ``info`` (per-op payload)
+rejection           ``ok`` (false), ``error`` (the error code),
+                    ``message``, and ``retry_after`` (wall seconds)
+                    when the client should delay and retry
+``task-done``       ``event``, ``task``, ``start``, ``end``, ``procs``
+``task-killed``     ``event``, ``task``, ``attempt`` (a retry is queued)
+``graph-done``      ``event``, ``makespan``, ``tasks``
+``evicted``         ``event``, ``reason`` (an error code), ``message``
+``status``          ``event``, ``payload`` (pool and tenant snapshot)
+``stats``           ``event``, ``payload`` (``service`` + ``tenants``
+                    metrics registries)
+==================  ===================================================
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from repro.exceptions import ProtocolError
@@ -53,19 +59,8 @@ __all__ = [
     "StatsQuery",
     "Cancel",
     "Bye",
-    "Response",
-    "Ack",
-    "Rejection",
-    "TaskDone",
-    "TaskKilled",
-    "GraphDone",
-    "Evicted",
-    "Status",
-    "Stats",
     "parse_request",
     "request_to_dict",
-    "response_to_dict",
-    "response_from_dict",
     "encode_line",
     "decode_line",
     "MAX_LINE_BYTES",
@@ -234,144 +229,6 @@ def request_to_dict(request: Request) -> dict[str, Any]:
         if value is not None:
             payload[name] = value
     return payload
-
-
-# ----------------------------------------------------------------------
-# Responses
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Response:
-    """Base class of everything the service writes to a session."""
-
-
-@dataclass(frozen=True)
-class Ack(Response):
-    """Positive outcome of the last command (``info`` is per-op payload)."""
-
-    op: str
-    info: Mapping[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Rejection(Response):
-    """Negative outcome: machine-readable ``code`` + human message.
-
-    ``retry_after`` (wall seconds) is the backpressure hint; a client
-    seeing it should delay and retry the same request.
-    """
-
-    code: str
-    message: str
-    retry_after: float | None = None
-
-
-@dataclass(frozen=True)
-class TaskDone(Response):
-    """A task of this session finished on the shared pool."""
-
-    task: str
-    start: float
-    end: float
-    procs: int
-
-
-@dataclass(frozen=True)
-class TaskKilled(Response):
-    """An attempt was killed by a processor fault (a retry is queued)."""
-
-    task: str
-    attempt: int
-
-
-@dataclass(frozen=True)
-class GraphDone(Response):
-    """Every task of the closed DAG completed."""
-
-    makespan: float
-    tasks: int
-
-
-@dataclass(frozen=True)
-class Evicted(Response):
-    """The service terminated the session (``reason`` is an error code)."""
-
-    reason: str
-    message: str
-
-
-@dataclass(frozen=True)
-class Status(Response):
-    """Read-only snapshot of pool and tenant state."""
-
-    payload: Mapping[str, Any]
-
-
-@dataclass(frozen=True)
-class Stats(Response):
-    """Telemetry snapshot: ``service`` + per-``tenants`` registry dicts."""
-
-    payload: Mapping[str, Any]
-
-
-_RESPONSE_TAGS: dict[type[Response], str] = {
-    Ack: "ack",
-    Rejection: "rejection",
-    TaskDone: "task-done",
-    TaskKilled: "task-killed",
-    GraphDone: "graph-done",
-    Evicted: "evicted",
-    Status: "status",
-    Stats: "stats",
-}
-_TAG_TO_RESPONSE = {tag: cls for cls, tag in _RESPONSE_TAGS.items()}
-
-
-def response_to_dict(response: Response) -> dict[str, Any]:
-    """Wire form of a response: command outcomes carry ``ok``, events ``event``."""
-    tag = _RESPONSE_TAGS.get(type(response))
-    if tag is None:
-        raise ProtocolError(f"not a protocol response: {type(response).__name__}")
-    if isinstance(response, Ack):
-        return {"ok": True, "op": response.op, "info": dict(response.info)}
-    if isinstance(response, Rejection):
-        payload: dict[str, Any] = {
-            "ok": False, "error": response.code, "message": response.message,
-        }
-        if response.retry_after is not None:
-            payload["retry_after"] = response.retry_after
-        return payload
-    if isinstance(response, (Status, Stats)):
-        return {"event": tag, "payload": dict(response.payload)}
-    body = asdict(response)
-    body["event"] = tag
-    return body
-
-
-def response_from_dict(payload: Mapping[str, Any]) -> Response:
-    """Rebuild a :class:`Response` from its wire form (client side)."""
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(f"response must be a JSON object, got {type(payload).__name__}")
-    if "ok" in payload:
-        if payload["ok"]:
-            return Ack(op=str(payload.get("op", "")), info=dict(payload.get("info", {})))
-        return Rejection(
-            code=str(payload.get("error", "UNKNOWN")),
-            message=str(payload.get("message", "")),
-            retry_after=payload.get("retry_after"),
-        )
-    tag = payload.get("event")
-    cls = _TAG_TO_RESPONSE.get(str(tag))
-    if cls is None or cls in (Ack, Rejection):
-        raise ProtocolError(f"unknown response event {tag!r}")
-    body = {k: v for k, v in payload.items() if k != "event"}
-    try:
-        if cls is Status:
-            return Status(payload=dict(body.get("payload", {})))
-        if cls is Stats:
-            return Stats(payload=dict(body.get("payload", {})))
-        return cls(**body)
-    except TypeError as exc:
-        raise ProtocolError(f"malformed {tag} response: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

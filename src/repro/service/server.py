@@ -18,10 +18,11 @@ decision in one event-loop pass:
   flushed before :class:`~repro.service.core.ServiceCore` returns, and
   only then does the session write the ack, so no client ever sees an
   acknowledgement the journal does not hold;
-* one **ticker coroutine** advances virtual time while the pool has
-  scheduled events, yielding to the sessions between ticks, and sleeps
-  on an :class:`asyncio.Event` that handling a request sets whenever it
-  leaves events pending;
+* one **tick callback** advances virtual time while the pool has
+  scheduled events: it runs one tick and reschedules itself with
+  ``loop.call_soon``, behind the callbacks already ready, so sessions
+  run between ticks.  With nothing scheduled it is not pending; handling
+  a request, a fault or a disconnect schedules it again;
 * pool notifications (task completions, evictions) are **written
   directly**: each routing pass encodes them into the owning session's
   pending bytes and writes them in one call — or, for the session whose
@@ -42,7 +43,7 @@ Robustness properties enforced here:
 * repeated malformed lines close the connection after
   ``MALFORMED_LIMIT`` strikes;
 * :meth:`SchedulerServer.stop` and :meth:`SchedulerServer.kill` cancel
-  the ticker and every connection handler, so no session touches the
+  the tick callback and every connection handler, so no session touches the
   core afterwards; :meth:`~SchedulerServer.kill` drops everything on the
   floor without any graceful teardown, simulating a crash for the chaos
   harness — recovery then proves the journal was sufficient.
@@ -156,7 +157,7 @@ class _Session:
 
 
 class SchedulerServer:
-    """One service instance: TCP listener + virtual-time ticker + shared core."""
+    """One service instance: TCP listener + virtual-time tick + shared core."""
 
     def __init__(
         self,
@@ -177,8 +178,8 @@ class SchedulerServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
-        self._ticker: asyncio.Task[None] | None = None
-        self._wake = asyncio.Event()
+        #: The scheduled :meth:`_tick` (None: none pending).
+        self._tick_handle: asyncio.Handle | None = None
         self._sessions: dict[str, _Session] = {}
         #: Connection-handler task -> its session, for teardown.
         self._handlers: dict[asyncio.Task[Any], _Session] = {}
@@ -191,7 +192,7 @@ class SchedulerServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind the listener and start the ticker; returns (host, port)."""
+        """Bind the listener and start ticking; returns (host, port)."""
         if self._running:
             raise ServiceError("server already started")
         self._running = True
@@ -203,7 +204,7 @@ class SchedulerServer:
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
-        self._ticker = asyncio.create_task(self._tick_loop())
+        self._kick()  # a recovered core may hold events
         return self.host, self.port
 
     async def stop(self) -> None:
@@ -233,17 +234,18 @@ class SchedulerServer:
         self.core.close_journal()
 
     async def _teardown(self, *, abort: bool) -> None:
-        """Cancel the ticker and every connection handler (each closes its writer).
+        """Cancel the tick and every connection handler (each closes its writer).
 
         ``abort`` drops the connections first, with their unsent bytes.
         """
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()
+            self._tick_handle = None
         for session in self._handlers.values():
             session.closed = True
             if abort:
                 session.writer.transport.abort()
         tasks = list(self._handlers)
-        if self._ticker is not None:
-            tasks.append(self._ticker)
         for task in tasks:
             task.cancel()
         for task in tasks:
@@ -256,19 +258,19 @@ class SchedulerServer:
     # Virtual time
     # ------------------------------------------------------------------
     def _kick(self) -> None:
-        """Wake the ticker if the pool has events to advance through."""
-        if self.core.pool.has_pending_events():
-            self._wake.set()
+        """Schedule a tick if none is pending and the pool has events."""
+        if (
+            self._running
+            and self._tick_handle is None
+            and self.core.pool.has_pending_events()
+        ):
+            self._tick_handle = asyncio.get_running_loop().call_soon(self._tick)
 
-    async def _tick_loop(self) -> None:
-        pool = self.core.pool
-        while True:
-            if pool.has_pending_events():
-                self._route(self.core.tick())
-                await asyncio.sleep(0)  # let sessions run between ticks
-            else:
-                self._wake.clear()
-                await self._wake.wait()
+    def _tick(self) -> None:
+        """Loop callback: one tick, its notifications routed, then the next."""
+        self._tick_handle = None
+        self._route(self.core.tick())
+        self._kick()
 
     # ------------------------------------------------------------------
     # Requests: called inline by the session coroutines

@@ -1,32 +1,29 @@
-"""Wire-protocol tests: parsing, validation, codecs, round trips."""
+"""Wire-protocol tests: parsing, validation, codecs, and the keys of every response."""
 
+import asyncio
 import json
+import re
 
 import pytest
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, QuotaExceeded
+from repro.service import protocol
+from repro.service.client import ServiceClient
+from repro.service.config import ServiceConfig
 from repro.service.protocol import (
     MAX_LINE_BYTES,
-    Ack,
     Bye,
     Cancel,
     CloseGraph,
-    Evicted,
-    GraphDone,
     Hello,
-    Rejection,
-    Status,
     StatusQuery,
     Submit,
-    TaskDone,
-    TaskKilled,
     decode_line,
     encode_line,
     parse_request,
     request_to_dict,
-    response_from_dict,
-    response_to_dict,
 )
+from repro.service.server import SchedulerServer
 from repro.speedup import AmdahlModel
 
 
@@ -97,33 +94,116 @@ class TestParseRequest:
             )
 
 
+def documented_keys():
+    """Response kind -> keys, read from the module docstring's table."""
+    lines = protocol.__doc__.split("Responses\n---------\n")[1].splitlines()
+    first, last = [i for i, line in enumerate(lines) if line.startswith("===")]
+    rows = re.split(r"\n(?=\S)", "\n".join(lines[first + 1 : last]))
+    keys = {}
+    for row in rows:
+        name, text = row.split(maxsplit=1)
+        text = re.sub(r"\([^)]*\)", "", " ".join(text.split()))
+        keys[name.strip("`")] = set(re.findall(r"``(\w+)``", text))
+    return keys
+
+
+def response_kind(payload):
+    if "ok" in payload:
+        return "ack" if payload["ok"] else "rejection"
+    return payload["event"]
+
+
 class TestResponses:
     @pytest.mark.parametrize(
         "resp",
         [
-            Ack(op="hello", info={"P": 8}),
-            Rejection(code="QUOTA_EXCEEDED", message="nope", retry_after=0.05),
-            Rejection(code="MALFORMED", message="bad"),
-            TaskDone(task="t", start=0.0, end=2.0, procs=3),
-            TaskKilled(task="t", attempt=1),
-            GraphDone(makespan=12.5, tasks=4),
-            Evicted(reason="SHED", message="overloaded"),
-            Status(payload={"free": 8}),
+            {"ok": True, "op": "hello", "info": {"P": 8}},
+            {"ok": False, "error": "QUOTA_EXCEEDED", "message": "nope", "retry_after": 0.05},
+            {"ok": False, "error": "MALFORMED", "message": "bad"},
+            {"event": "task-done", "task": "t", "start": 0.0, "end": 2.0, "procs": 3},
+            {"event": "task-killed", "task": "t", "attempt": 1},
+            {"event": "graph-done", "makespan": 12.5, "tasks": 4},
+            {"event": "evicted", "reason": "SHED", "message": "overloaded"},
+            {"event": "status", "payload": {"free": 8}},
         ],
     )
     def test_roundtrip(self, resp):
-        wire = json.loads(json.dumps(response_to_dict(resp)))
-        rebuilt = response_from_dict(wire)
-        assert type(rebuilt) is type(resp)
+        rebuilt = decode_line(encode_line(resp))
+        assert rebuilt == resp
+        expected = documented_keys()[response_kind(resp)]
+        if "retry_after" not in resp:
+            expected = expected - {"retry_after"}
+        assert set(rebuilt) == expected
 
     def test_rejection_keeps_retry_after(self):
-        wire = response_to_dict(Rejection(code="X", message="m", retry_after=0.25))
+        server = SchedulerServer(ServiceConfig(P=1, family="amdahl"))
+        rejection = server._rejection(QuotaExceeded("m", retry_after=0.25))
+        wire = decode_line(encode_line(rejection))
         assert wire["retry_after"] == 0.25
         assert wire["ok"] is False
+        assert wire["error"] == "QUOTA_EXCEEDED"
+        # A permanent rejection carries no retry hint at all.
+        assert "retry_after" not in server._rejection(ProtocolError("bad"))
 
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ProtocolError):
-            response_from_dict({"event": "nope"})
+
+class TestResponseVocabulary:
+    def test_every_line_the_server_writes_has_the_documented_keys(self):
+        """One scenario makes the real server write every kind of line."""
+        seen = []
+
+        def record(client):
+            read = client._read_payload
+
+            async def recording(timeout=30.0):
+                payload = await read(timeout)
+                seen.append(payload)
+                return payload
+
+            client._read_payload = recording
+            return client
+
+        async def scenario():
+            config = ServiceConfig(P=1, family="amdahl", retry_after_s=0.01)
+            server = SchedulerServer(config)
+            host, port = await server.start()
+            try:
+                client = record(await ServiceClient.connect(host, port))
+                await client.hello("vocab", max_inflight_tasks=1)
+                await client.request_line(b"NOT JSON\n")
+                # With the only processor down, "a" pins the inflight quota.
+                server.inject_fault("fail", 0)
+                await client.submit("a", AmdahlModel(5.0, 1.0))
+                await client.submit("b", AmdahlModel(5.0, 1.0))
+                # The recovery starts "a"; failing again before any tick
+                # kills that attempt, and the retry then completes.
+                server.inject_fault("recover", 0)
+                server.inject_fault("fail", 0)
+                server.inject_fault("recover", 0)
+                await client.close_graph()
+                await client.wait_graph_done()
+                await client.status()
+                await client.stats()
+                late = record(await ServiceClient.connect(host, port))
+                await late.hello("late", deadline=1.0)
+                await late.submit("x", AmdahlModel(1000.0, 1.0))
+                await late.wait_graph_done()
+                await late.close()
+                await client.bye()
+            finally:
+                await server.stop()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=30.0))
+        keys = documented_keys()
+        assert {response_kind(p) for p in seen} == set(keys)
+        for payload in seen:
+            expected = keys[response_kind(payload)]
+            if "retry_after" not in payload:
+                expected = expected - {"retry_after"}
+            assert set(payload) == expected, payload
+        rejections = [p for p in seen if p.get("ok") is False]
+        assert [p["error"] for p in rejections] == ["MALFORMED", "QUOTA_EXCEEDED"]
+        assert "retry_after" not in rejections[0]
+        assert rejections[1]["retry_after"] == 0.01
 
 
 class TestLineCodec:

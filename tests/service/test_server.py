@@ -13,6 +13,7 @@ from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.core import ServiceCore
 from repro.service.protocol import (
+    Hello,
     Submit,
     decode_line,
     encode_line,
@@ -158,7 +159,7 @@ class TestRobustness:
                 await client.hello("busy", max_inflight_tasks=1)
                 # Fail the only processor first: "first" queues with no
                 # capacity to run on, so it pins the inflight quota (the
-                # ticker advances virtual time eagerly — a runnable task
+                # server advances virtual time eagerly — a runnable task
                 # would complete between two wire requests).
                 server.inject_fault("fail", 0)
                 await client.submit("first", AmdahlModel(5.0, 1.0))
@@ -228,6 +229,27 @@ class TestCrashRecovery:
 
         run(before())
         run(after())
+
+    def test_recovered_events_drain_with_no_request(self, tmp_path):
+        """``start`` advances a recovered core's running task by itself."""
+        journal = tmp_path / "wal.jsonl"
+        live = ServiceCore(make_config(), journal_path=str(journal))
+        live.hello(Hello(tenant="alice"))
+        live.submit("alice", Submit(task="a", model=AmdahlModel(4.0, 1.0)))
+        live.close_journal()
+        core = ServiceCore.recover(journal)
+        assert core.pool.tenants["alice"].tasks["a"].state == "running"
+
+        async def scenario():
+            server = SchedulerServer(make_config(), core=core)
+            await server.start()
+            try:
+                await wait_until(lambda: not core.pool.has_pending_events())
+                assert core.pool.tenants["alice"].tasks["a"].state == "done"
+            finally:
+                await server.stop()
+
+        run(scenario())
 
 
 async def wait_until(predicate, *, timeout=5.0):
@@ -331,11 +353,44 @@ class TestSlowConsumer:
         run(scenario())
 
 
+class TestTick:
+    def test_raising_tick_is_logged_and_the_next_request_retries(self):
+        async def scenario():
+            server, host, port = await boot(make_config())
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda loop, context: errors.append(context))
+            tick = server.core.tick
+
+            def failing_once():
+                server.core.tick = tick  # later ticks run for real
+                raise RuntimeError("tick failed")
+
+            server.core.tick = failing_once
+            try:
+                client = await ServiceClient.connect(host, port)
+                await client.hello("alice")
+                await client.submit("a", AmdahlModel(4.0, 1.0))
+                await wait_until(lambda: errors)
+                assert isinstance(errors[0]["exception"], RuntimeError)
+                assert server.core.pool.has_pending_events()
+                await client.close_graph()  # kicks the tick again
+                terminal, _ = await client.wait_graph_done()
+                assert terminal["event"] == "graph-done"
+                assert len(errors) == 1
+                await client.bye()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
+
 class TestDecisionPath:
     def test_closed_loop_submits_create_no_tasks(self):
         """Serving a request must not spawn a Task (nor need one per read)."""
 
         async def scenario():
+            ours = asyncio.all_tasks()
             server, host, port = await boot(make_config(P=8))
             try:
                 reader, writer = await asyncio.open_connection(host, port)
@@ -364,6 +419,9 @@ class TestDecisionPath:
                         ))
                         for i in range(200)
                     ]
+                    # Besides this test's own tasks only the connection
+                    # handler is alive: virtual time needs no Task.
+                    assert asyncio.all_tasks() - ours == set(server._handlers)
                 finally:
                     loop.set_task_factory(None)
                 assert all(ack["ok"] for ack in acks)
