@@ -24,7 +24,6 @@ __all__ = [
     "AllocationError",
     "FittingError",
     "ExperimentFailedError",
-    "RunQuarantinedError",
     "ServiceError",
     "ProtocolError",
     "AdmissionRejected",
@@ -141,19 +140,6 @@ class ExperimentFailedError(ReproError, RuntimeError):
     Subclasses ``RuntimeError`` for backwards compatibility with callers
     that caught the executor's former bare ``RuntimeError`` wrapper.
     """
-
-
-class RunQuarantinedError(ExperimentFailedError):
-    """A campaign run was quarantined after exhausting its retry budget.
-
-    Carries the per-attempt failure descriptions so the manifest (and the
-    operator) can see what each attempt died of.
-    """
-
-    def __init__(self, message: str, *, experiment: str | None = None, attempts: tuple[str, ...] = ()) -> None:
-        super().__init__(message)
-        self.experiment = experiment
-        self.attempts = attempts
 
 
 # ----------------------------------------------------------------------

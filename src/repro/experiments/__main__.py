@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import ExitStack
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -135,13 +136,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "experiment (engine counters plus event-derived distributions)",
     )
     parser.add_argument(
-        "--log-level",
-        default=None,
-        metavar="LEVEL",
-        help="configure structured logging for the repro.* loggers "
-        "(DEBUG, INFO, WARNING, ...)",
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=None,
@@ -202,14 +196,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(name)
         return 0
 
-    if args.log_level is not None:
-        from repro.obs.logging import configure_logging
-
-        try:
-            configure_logging(args.log_level)
-        except ValueError as exc:
-            parser.error(str(exc))
-
     if args.select is not None and args.experiment != "campaign":
         parser.error("--select only applies to the 'campaign' subcommand")
 
@@ -243,7 +229,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         for key in OVERRIDE_KEYS
         if key in spec.accepts and getattr(args, key) is not None
     }
-    stats = None
     registry = None
     sink = None
     with ExitStack() as stack:
@@ -257,26 +242,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 sink = ChromeTraceSink(args.trace, P=args.P)
             stack.callback(sink.close)
             tracers.append(sink)
-        if args.metrics:
+        if args.metrics or args.profile:
             from repro.obs import MetricsRegistry, MetricsTracer, collect_metrics
 
-            # One registry serves --metrics, the event-derived
-            # distributions, and (when combined) --profile, so the flags
-            # compose instead of shadowing each other's collection scope.
+            # One registry serves --metrics (engine counters plus the
+            # event-derived distributions) and --profile (the engine
+            # counters alone), so the flags compose.
             registry = stack.enter_context(collect_metrics(MetricsRegistry()))
-            tracers.append(MetricsTracer(registry))
-            if args.profile:
-                from repro.sim.engine import EngineStats
-
-                stats = EngineStats()
-                sink_stats = stats
-                registry.subscribe_engine_stats(
-                    lambda s: sink_stats.merge(EngineStats.from_dict(s))
-                )
-        elif args.profile:
-            from repro.sim.engine import profile_engine
-
-            stats = stack.enter_context(profile_engine())
+            if args.metrics:
+                tracers.append(MetricsTracer(registry))
         if tracers:
             from repro.obs import MultiTracer, use_tracer
 
@@ -287,10 +261,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write_report(args.out, args.experiment, str(report))
     print(report)
     print()
-    if stats is not None:
-        print(stats.summary())
+    if registry is not None and args.profile:
+        from repro.sim.engine import EngineStats
+
+        totals = {f.name: registry.value(f"engine.{f.name}") for f in fields(EngineStats)}
+        print(EngineStats.from_dict(totals).summary())
         print()
-    if registry is not None:
+    if registry is not None and args.metrics:
         print(registry.summary())
         print()
     if sink is not None:

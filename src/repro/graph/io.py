@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, ReproError
 from repro.graph.taskgraph import TaskGraph
 from repro.speedup.amdahl import AmdahlModel
 from repro.speedup.arbitrary import LogParallelismModel, TabulatedModel
@@ -66,26 +67,42 @@ def model_to_dict(model: SpeedupModel) -> dict[str, Any]:
     return to_dict(model)
 
 
+def _malformed(what: str, data: object, exc: Exception) -> GraphError:
+    """The :class:`GraphError` a loader raises for input not in dict form."""
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return GraphError(f"malformed {what} {reprlib.repr(data)}: {reason}")
+
+
 def model_from_dict(data: dict[str, Any]) -> SpeedupModel:
-    """Inverse of :func:`model_to_dict`."""
-    kind = data.get("kind")
-    if kind == "roofline":
-        return RooflineModel(data["w"], data["max_parallelism"])
-    if kind == "communication":
-        return CommunicationModel(data["w"], data["c"])
-    if kind == "amdahl":
-        return AmdahlModel(data["w"], data["d"])
-    if kind == "general":
-        return GeneralModel(
-            data["w"], d=data.get("d", 0.0), c=data.get("c", 0.0),
-            max_parallelism=data.get("max_parallelism"),
-        )
-    if kind == "power":
-        return PowerLawModel(data["w"], data["exponent"])
-    if kind == "log":
-        return LogParallelismModel(data["base"])
-    if kind == "tabulated":
-        return TabulatedModel(data["times"])
+    """Inverse of :func:`model_to_dict`.
+
+    Input not in :func:`model_to_dict` form raises
+    :class:`~repro.exceptions.GraphError` naming the missing key or the
+    bad value.
+    """
+    try:
+        kind = data.get("kind")
+        if kind == "roofline":
+            return RooflineModel(data["w"], data["max_parallelism"])
+        if kind == "communication":
+            return CommunicationModel(data["w"], data["c"])
+        if kind == "amdahl":
+            return AmdahlModel(data["w"], data["d"])
+        if kind == "general":
+            return GeneralModel(
+                data["w"], d=data.get("d", 0.0), c=data.get("c", 0.0),
+                max_parallelism=data.get("max_parallelism"),
+            )
+        if kind == "power":
+            return PowerLawModel(data["w"], data["exponent"])
+        if kind == "log":
+            return LogParallelismModel(data["base"])
+        if kind == "tabulated":
+            return TabulatedModel(data["times"])
+    except ReproError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise _malformed("model", data, exc) from exc
     raise GraphError(f"unknown model kind {kind!r}")
 
 
@@ -101,12 +118,26 @@ def graph_to_dict(graph: TaskGraph) -> dict[str, Any]:
 
 
 def graph_from_dict(data: dict[str, Any]) -> TaskGraph:
-    """Inverse of :func:`graph_to_dict`."""
+    """Inverse of :func:`graph_to_dict`.
+
+    Input not in :func:`graph_to_dict` form raises
+    :class:`~repro.exceptions.GraphError` naming the missing key or the
+    bad task or edge entry.
+    """
     g = TaskGraph()
-    for entry in data["tasks"]:
-        g.add_task(entry["id"], model_from_dict(entry["model"]), entry.get("tag", ""))
-    for u, v in data["edges"]:
-        g.add_edge(u, v)
+    entry: Any = data
+    try:
+        tasks, edges = iter(data["tasks"]), iter(data["edges"])
+        for entry in tasks:
+            g.add_task(entry["id"], model_from_dict(entry["model"]), entry.get("tag", ""))
+        for entry in edges:
+            u, v = entry
+            g.add_edge(u, v)
+    except ReproError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        what = "graph" if entry is data else "graph entry"
+        raise _malformed(what, entry, exc) from exc
     return g
 
 
@@ -116,8 +147,12 @@ def graph_to_json(graph: TaskGraph) -> str:
 
 
 def graph_from_json(text: str) -> TaskGraph:
-    """Inverse of :func:`graph_to_json`."""
-    return graph_from_dict(json.loads(text))
+    """Inverse of :func:`graph_to_json` (malformed input raises :class:`GraphError`)."""
+    try:
+        data = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"graph JSON does not parse: {exc}") from exc
+    return graph_from_dict(data)
 
 
 def to_networkx(graph: TaskGraph) -> nx.DiGraph:

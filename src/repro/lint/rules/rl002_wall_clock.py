@@ -8,8 +8,8 @@ would leak real time into simulated time (or into tie-breaking), which no
 test can reliably catch.
 
 ``time.perf_counter`` / ``time.monotonic`` are *allowed*: they measure
-durations for telemetry (e.g. :func:`repro.sim.engine.profile_engine`)
-and never enter scheduling decisions.  Code outside ``repro.sim`` /
+durations for telemetry (e.g. the campaign manifest's per-run compute
+times) and never enter scheduling decisions.  Code outside ``repro.sim`` /
 ``repro.core`` (e.g. the campaign runtime's manifest timestamps) is out
 of scope by design.
 """

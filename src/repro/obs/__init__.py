@@ -1,4 +1,4 @@
-"""Observability: simulation tracing, unified metrics, structured logging.
+"""Observability: simulation tracing and unified metrics.
 
 The layer that answers *why the simulator did what it did* without
 perturbing what it does:
@@ -12,7 +12,6 @@ perturbing what it does:
   run manifests and BENCH files.
 * :mod:`repro.obs.export` — JSONL event logs, live Chrome
   trace_event/Perfetto export, and text summaries.
-* :mod:`repro.obs.logging` — structured ``repro.*`` logger configuration.
 
 Layering: ``repro.obs`` sits *below* the simulator (it imports only
 :mod:`repro.types`), so the engine, allocators, and runtime can all emit
@@ -51,7 +50,6 @@ from repro.obs.export import (
     trace_digest,
 )
 from repro.obs.layout import RowLayout
-from repro.obs.logging import configure_logging, get_logger, log_fields
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -101,8 +99,4 @@ __all__ = [
     "trace_digest",
     "render_prometheus",
     "RowLayout",
-    # logging
-    "configure_logging",
-    "get_logger",
-    "log_fields",
 ]

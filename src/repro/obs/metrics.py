@@ -189,7 +189,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
-        self._engine_subscribers: list[Callable[[Mapping[str, float]], None]] = []
 
     # -- registration --------------------------------------------------
     def _get(self, name: str, factory: Callable[[], Metric], kind: str) -> Metric:
@@ -251,8 +250,6 @@ class MetricsRegistry:
         re-derived from the accumulated counters rather than averaged, so
         the registry's rate is the rate *over every recorded run*.
         """
-        for callback in self._engine_subscribers:
-            callback(stats)
         for key, value in stats.items():
             if key == "alloc_cache_hit_rate":
                 continue
@@ -267,17 +264,6 @@ class MetricsRegistry:
             0.0 if total == 0 else hits / total
         )
         self.counter("engine.runs").inc()
-
-    def subscribe_engine_stats(
-        self, callback: Callable[[Mapping[str, float]], None]
-    ) -> None:
-        """Invoke ``callback`` with each raw stats dict recorded here.
-
-        The hook behind :func:`repro.sim.engine.profile_engine`'s live
-        :class:`~repro.sim.engine.EngineStats` view.  Subscribers are
-        process-local and are not carried by :meth:`merge`/:meth:`as_dict`.
-        """
-        self._engine_subscribers.append(callback)
 
     # -- aggregation / serialization -----------------------------------
     def merge(self, other: "MetricsRegistry | Mapping[str, Any]") -> None:
@@ -341,7 +327,7 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# Ambient collection (the profile_engine substrate)
+# Ambient collection
 # ----------------------------------------------------------------------
 #: Registry collecting the current dynamic extent's run metrics (None =
 #: not collecting).  ContextVar semantics give nested collections and
@@ -367,8 +353,7 @@ def collect_metrics(
     :func:`active_metrics` and record into it as runs complete — including
     runs started deep inside experiment code that never surfaces its
     :class:`~repro.sim.engine.SimulationResult`.  Blocks nest: only the
-    innermost registry collects, and the outer one is restored on exit
-    (the semantics :func:`repro.sim.engine.profile_engine` is built on).
+    innermost registry collects, and the outer one is restored on exit.
     """
     if registry is None:
         registry = MetricsRegistry()

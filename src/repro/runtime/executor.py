@@ -23,21 +23,16 @@ the manifest lists runs in request order regardless of completion order.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.exceptions import (
-    ExperimentFailedError,
-    InvalidParameterError,
-    RunQuarantinedError,
-)
+from repro.exceptions import ExperimentFailedError, InvalidParameterError
 from repro.experiments.registry import REGISTRY, ExperimentReport, get_spec
 from repro.obs.metrics import MetricsRegistry, collect_metrics
 from repro.runtime.cache import ResultCache
@@ -141,118 +136,6 @@ def _execute(
     }
 
 
-def _child_execute(
-    conn: Any,
-    experiment: str,
-    kwargs: dict[str, Any],
-    clock: Callable[[], float],
-) -> None:
-    """Sandboxed-process entry: run one experiment, ship the outcome back.
-
-    The child never raises across the pipe — failures travel as
-    ``{"ok": False}``.  Non-``Exception`` exits (``SystemExit``,
-    ``KeyboardInterrupt``) take down the child, which the parent detects
-    via pipe EOF and reports as a crashed worker.
-    """
-    try:
-        conn.send(
-            {
-                "ok": True,
-                "result": _execute(experiment, kwargs, clock),
-            }
-        )
-    except Exception as exc:
-        conn.send({"ok": False, "error": f"{type(exc).__name__}: {exc}"})
-    finally:
-        conn.close()
-
-
-def _execute_isolated(
-    experiment: str,
-    kwargs: dict[str, Any],
-    clock: Callable[[], float],
-    timeout_s: float | None,
-) -> dict[str, Any]:
-    """Run one attempt in a dedicated process with a hard wall-clock cap.
-
-    A hung experiment is terminated (then killed) when ``timeout_s``
-    elapses; a crashed worker (died without reporting) is detected via
-    pipe EOF.  Both surface as :class:`ExperimentFailedError`, which the
-    retry policy treats as one failed attempt.
-    """
-    parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
-    proc = multiprocessing.Process(
-        target=_child_execute,
-        args=(child_conn, experiment, dict(kwargs), clock),
-        daemon=True,
-    )
-    proc.start()
-    child_conn.close()
-    try:
-        if not parent_conn.poll(timeout_s):
-            raise ExperimentFailedError(
-                f"experiment {experiment!r} timed out after {timeout_s}s"
-            )
-        try:
-            payload = parent_conn.recv()
-        except EOFError:
-            raise ExperimentFailedError(
-                f"experiment {experiment!r} worker died "
-                f"(exit code {proc.exitcode})"
-            ) from None
-    finally:
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-        if proc.is_alive():  # terminate() ignored: force it
-            proc.kill()
-            proc.join(timeout=5.0)
-        parent_conn.close()
-    if not payload.get("ok"):
-        raise ExperimentFailedError(
-            f"experiment {experiment!r} failed in worker: {payload.get('error')}"
-        )
-    result = payload["result"]
-    assert isinstance(result, dict)
-    return result
-
-
-def _execute_with_policy(
-    experiment: str,
-    kwargs: dict[str, Any],
-    clock: Callable[[], float],
-    *,
-    timeout_s: float | None,
-    max_retries: int,
-    backoff_s: float,
-) -> dict[str, Any]:
-    """One run under the resilience policy: timeout, bounded retries, backoff.
-
-    With a timeout configured every attempt runs in its own sandbox
-    process (a hung attempt must be killable); without one, attempts run
-    in-process and only Python-level failures are retryable.  After the
-    budget is exhausted the run is *quarantined*:
-    :class:`~repro.exceptions.RunQuarantinedError` carries every
-    attempt's failure for the manifest.
-    """
-    attempts: list[str] = []
-    for attempt in range(max_retries + 1):
-        if attempt and backoff_s > 0:
-            time.sleep(backoff_s * 2 ** (attempt - 1))
-        try:
-            if timeout_s is not None:
-                return _execute_isolated(experiment, kwargs, clock, timeout_s)
-            return _execute(experiment, kwargs, clock)
-        except ExperimentFailedError as exc:
-            attempts.append(str(exc))
-    raise RunQuarantinedError(
-        f"experiment {experiment!r} quarantined after "
-        f"{len(attempts)} failed attempt(s): {attempts[-1]}",
-        experiment=experiment,
-        attempts=tuple(attempts),
-    )
-
-
 def _peak_overlap(intervals: Sequence[tuple[float, float]]) -> int:
     """Peak number of simultaneously open ``(start, end)`` intervals."""
     events = sorted(
@@ -268,41 +151,14 @@ def _peak_overlap(intervals: Sequence[tuple[float, float]]) -> int:
 
 @dataclass(frozen=True)
 class CampaignOutcome:
-    """What a campaign produced: reports by experiment id + the manifest.
-
-    ``failures`` maps quarantined experiment ids to their
-    :class:`~repro.exceptions.RunQuarantinedError` (empty unless the
-    executor ran with ``quarantine=True`` and a run exhausted its retry
-    budget).  Quarantined experiments have no entry in ``reports``.
-    """
+    """What a campaign produced: reports by experiment id + the manifest."""
 
     reports: dict[str, ExperimentReport]
     manifest: RunManifest
-    failures: dict[str, RunQuarantinedError] = field(default_factory=dict)
-
-    def report_for(self, experiment: str) -> ExperimentReport:
-        """Return the report, re-raising the quarantine error if the run failed."""
-        failure = self.failures.get(experiment)
-        if failure is not None:
-            raise failure
-        return self.reports[experiment]
 
 
 class CampaignExecutor:
-    """Run a batch of experiments with caching and optional parallelism.
-
-    Resilience policy (all off by default, preserving the fast path):
-
-    * ``run_timeout_s`` — hard wall-clock cap per attempt; every attempt
-      then runs in its own sandbox process so a hung or crashed
-      experiment can be killed without taking the campaign down;
-    * ``max_retries`` — failed attempts are retried with exponential
-      backoff (``retry_backoff_s * 2**k``) up to this many times;
-    * ``quarantine`` — after the budget is exhausted the run is recorded
-      in the manifest (``cache_status="quarantined"``, with the
-      per-attempt errors) and the campaign continues; without it the
-      :class:`~repro.exceptions.RunQuarantinedError` propagates.
-    """
+    """Run a batch of experiments with caching and optional parallelism."""
 
     def __init__(
         self,
@@ -310,44 +166,14 @@ class CampaignExecutor:
         cache: ResultCache | None = None,
         refresh: bool = False,
         clock: Callable[[], float] = time.time,
-        *,
-        run_timeout_s: float | None = None,
-        max_retries: int = 0,
-        retry_backoff_s: float = 0.05,
-        quarantine: bool = False,
     ) -> None:
         check_positive_int(jobs, "jobs")
-        if run_timeout_s is not None and run_timeout_s <= 0:
-            raise InvalidParameterError(
-                f"run_timeout_s must be > 0 or None, got {run_timeout_s}"
-            )
-        if max_retries < 0:
-            raise InvalidParameterError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        if retry_backoff_s < 0:
-            raise InvalidParameterError(
-                f"retry_backoff_s must be >= 0, got {retry_backoff_s}"
-            )
         self.jobs = jobs
         self.cache = cache
         self.refresh = refresh
         #: Wall-clock source for per-run start/end stamps (injectable for
         #: deterministic tests; must be picklable when ``jobs > 1``).
         self.clock = clock
-        self.run_timeout_s = run_timeout_s
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.quarantine = quarantine
-
-    @property
-    def _hardened(self) -> bool:
-        """Whether runs go through the timeout/retry/quarantine path."""
-        return (
-            self.run_timeout_s is not None
-            or self.max_retries > 0
-            or self.quarantine
-        )
 
     def run(self, requests: Sequence[RunRequest]) -> CampaignOutcome:
         """Execute every request; returns reports and the run manifest."""
@@ -386,10 +212,7 @@ class CampaignExecutor:
             )
 
         raw: dict[str, dict[str, Any]] = {}
-        failures: dict[str, RunQuarantinedError] = {}
-        if to_compute and self._hardened:
-            self._run_hardened(to_compute, raw, failures, records)
-        elif to_compute and self.jobs > 1:
+        if to_compute and self.jobs > 1:
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:
                 futures = {
                     request.experiment: pool.submit(
@@ -417,8 +240,6 @@ class CampaignExecutor:
         else:
             status = "miss"
         for request in to_compute:
-            if request.experiment in failures:
-                continue  # quarantined: recorded by _run_hardened
             result = raw[request.experiment]
             report = ExperimentReport.from_json(result["json"])
             reports[request.experiment] = report
@@ -454,73 +275,7 @@ class CampaignExecutor:
             ),
             runs=[records[request.experiment] for request in requests],
         )
-        return CampaignOutcome(
-            reports=reports, manifest=manifest, failures=failures
-        )
-
-    def _run_hardened(
-        self,
-        to_compute: Sequence[RunRequest],
-        raw: dict[str, dict[str, Any]],
-        failures: dict[str, RunQuarantinedError],
-        records: dict[str, RunRecord],
-    ) -> None:
-        """Execute requests under the timeout/retry/quarantine policy.
-
-        Attempts run in sandbox processes when a timeout is set, so the
-        fan-out here uses threads: each thread just blocks on its own
-        child's pipe.  Quarantined runs land in ``failures`` +
-        ``records`` (or re-raise when ``quarantine`` is off).
-        """
-
-        def attempt(
-            request: RunRequest,
-        ) -> tuple[dict[str, Any] | RunQuarantinedError, float]:
-            t0 = time.perf_counter()
-            try:
-                result = _execute_with_policy(
-                    request.experiment,
-                    dict(request.kwargs),
-                    self.clock,
-                    timeout_s=self.run_timeout_s,
-                    max_retries=self.max_retries,
-                    backoff_s=self.retry_backoff_s,
-                )
-            except RunQuarantinedError as exc:
-                return exc, time.perf_counter() - t0
-            return result, time.perf_counter() - t0
-
-        outcomes: dict[str, tuple[dict[str, Any] | RunQuarantinedError, float]] = {}
-        if self.jobs > 1:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {
-                    request.experiment: pool.submit(attempt, request)
-                    for request in to_compute
-                }
-                for name, future in futures.items():
-                    outcomes[name] = future.result()
-        else:
-            for request in to_compute:
-                outcomes[request.experiment] = attempt(request)
-
-        for request in to_compute:
-            outcome, wall_s = outcomes[request.experiment]
-            if isinstance(outcome, RunQuarantinedError):
-                if not self.quarantine:
-                    raise outcome
-                failures[request.experiment] = outcome
-                records[request.experiment] = RunRecord(
-                    experiment=request.experiment,
-                    kwargs=request.kwargs,
-                    cache_status="quarantined",
-                    wall_time_s=wall_s,
-                    compute_time_s=0.0,
-                    worker="quarantined",
-                    result_digest="",
-                    error="; ".join(outcome.attempts) or str(outcome),
-                )
-            else:
-                raw[request.experiment] = outcome
+        return CampaignOutcome(reports=reports, manifest=manifest)
 
 
 def run_campaign_experiments(

@@ -80,10 +80,6 @@ class RunRecord:
     #: while the run computed; ``None`` when collection was off.  Cache
     #: hits carry the metrics stored with the entry at compute time.
     metrics: Mapping[str, Any] | None = None
-    #: For quarantined runs (``cache_status == "quarantined"``): the
-    #: failure description, one line per exhausted attempt.  ``None`` for
-    #: successful runs.
-    error: str | None = None
 
     def as_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -97,8 +93,6 @@ class RunRecord:
         }
         if self.metrics is not None:
             payload["metrics"] = dict(self.metrics)
-        if self.error is not None:
-            payload["error"] = self.error
         return payload
 
 

@@ -17,7 +17,6 @@ from repro.sim.engine import (
     EngineStats,
     ListScheduler,
     SimulationResult,
-    profile_engine,
 )
 from repro.sim.intervals import IntervalDecomposition, decompose_intervals
 from repro.sim.feasibility import InvariantChecker, validate_result
@@ -35,7 +34,6 @@ __all__ = [
     "SimulationResult",
     "AttemptRecord",
     "EngineStats",
-    "profile_engine",
     "IntervalDecomposition",
     "decompose_intervals",
     "InvariantChecker",

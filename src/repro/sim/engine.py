@@ -34,7 +34,8 @@ waiting demand; priority queues are maintained by sorted insertion
 instead of per-admit re-sorts; and the :class:`~repro.sim.schedule.Schedule`
 is built once, after the loop.  Schedules are bit-identical to the naive
 full-rescan loop; :class:`EngineStats` (attached to every
-:class:`SimulationResult`, aggregated by :func:`profile_engine`) counts
+:class:`SimulationResult`, summed into ``engine.*`` counters of the
+ambient :class:`~repro.obs.metrics.MetricsRegistry`) counts
 events, scans, scan steps, and allocator cache traffic (a reveal-table
 hit counts as the cache hit it replaces) to prove it cheaply.
 
@@ -61,11 +62,10 @@ import math
 from bisect import insort
 from collections import deque
 from collections.abc import MutableSequence, Sequence
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
 if TYPE_CHECKING:  # layering: sim only duck-types resilience at runtime
     from repro.resilience.faults import FaultModel
@@ -91,7 +91,7 @@ from repro.obs.events import (
     Tracer,
     active_tracer,
 )
-from repro.obs.metrics import MetricsRegistry, active_metrics, collect_metrics
+from repro.obs.metrics import active_metrics
 from repro.sim.allocation import Allocation, AllocationCacheInfo, Allocator
 from repro.graph.task import Task
 from repro.graph.taskgraph import TaskGraph
@@ -113,7 +113,6 @@ __all__ = [
     "SimulationResult",
     "AttemptRecord",
     "EngineStats",
-    "profile_engine",
 ]
 
 #: Type of the engine's internal emission hook: ``None`` when tracing is
@@ -164,11 +163,6 @@ class EngineStats:
             return 0.0
         return self.alloc_cache_hits / total
 
-    def merge(self, other: "EngineStats") -> None:
-        """Accumulate ``other``'s counters into this block (for profiling)."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
     def as_dict(self) -> dict[str, float]:
         """Plain-dict view (JSON-safe) including the derived hit rate."""
         payload: dict[str, float] = asdict(self)
@@ -192,30 +186,6 @@ class EngineStats:
         """Inverse of :meth:`as_dict` (derived fields are recomputed)."""
         return cls(**{f.name: int(payload.get(f.name, 0)) for f in fields(cls)})
 
-
-@contextmanager
-def profile_engine() -> Iterator[EngineStats]:
-    """Accumulate the stats of every engine run inside the ``with`` block.
-
-    Yields an :class:`EngineStats` that grows as simulations complete —
-    including runs started deep inside experiments that never expose their
-    :class:`SimulationResult`.  Built on the observability layer's ambient
-    :class:`~repro.obs.metrics.MetricsRegistry`
-    (:func:`~repro.obs.metrics.collect_metrics`): the block installs a
-    registry, every finished run records its counters there, and a
-    subscription folds them into the yielded stats block live.  Blocks
-    nest (only the innermost collects, the outer is restored on exit) and
-    profiling is process-local: runs executed in campaign worker
-    processes report through their own registries (see
-    ``RunRecord.metrics``), not this one.
-    """
-    sink = EngineStats()
-    registry = MetricsRegistry()
-    registry.subscribe_engine_stats(
-        lambda stats: sink.merge(EngineStats.from_dict(stats))
-    )
-    with collect_metrics(registry):
-        yield sink
 
 #: Optional priority key: smaller keys run earlier in the waiting queue.
 PriorityRule = Callable[[Task, Allocation], object]

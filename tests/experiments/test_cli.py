@@ -26,6 +26,21 @@ class TestCli:
         assert main(["empirical", "--P", "16", "--seed", "1"]) == 0
         assert "algorithm1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--metrics"]], ids=["alone", "with-metrics"])
+    def test_profile_prints_engine_stats(self, capsys, extra):
+        # figure4's engine counters, summed over every run it makes.
+        block = (
+            "\nengine stats: 4 events | 26 tasks started\n"
+            "queue: 4 scans (0 skipped), 26 scan steps\n"
+            "allocator: 26 calls, 25 cache hits / 1 misses / 0 bypasses "
+            "(96.2% hit rate)\n\n"
+        )
+        assert main(["figure4", "--profile", *extra]) == 0
+        out = capsys.readouterr().out
+        assert out.count("engine stats:") == 1
+        assert block in out
+        assert ("metrics:" in out) == bool(extra)
+
 
 class TestCampaignCli:
     def args(self, tmp_path, *extra):

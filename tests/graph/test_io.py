@@ -1,9 +1,11 @@
 """Unit tests for graph/model (de)serialization and networkx interop."""
 
+import re
+
 import networkx as nx
 import pytest
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, InvalidParameterError, UnknownTaskError
 from repro.graph import TaskGraph, from_networkx, to_networkx
 from repro.graph.io import (
     graph_from_dict,
@@ -84,6 +86,39 @@ class TestGraphRoundTrip:
         g.add_task("a", AmdahlModel(1.0, 1.0), tag="POTRF")
         clone = graph_from_dict(graph_to_dict(g))
         assert clone.task("a").tag == "POTRF"
+
+
+_AMDAHL_TASK = {"id": "a", "model": {"kind": "amdahl", "w": 1.0, "d": 1.0}}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "load, data, names",
+        [
+            (graph_from_json, "", "does not parse"),
+            (graph_from_dict, {}, "missing key 'tasks'"),
+            (graph_from_dict, {"tasks": 3}, "{'tasks': 3}"),
+            (graph_from_dict, {"tasks": [], "edges": [[1]]}, "entry [1]"),
+            (graph_from_dict, {"tasks": [{"model": {}}], "edges": []}, "missing key 'id'"),
+            (graph_from_dict, {"tasks": [_AMDAHL_TASK]}, "graph {'tasks': [{"),
+            (graph_from_dict, {"tasks": [_AMDAHL_TASK], "edges": 3}, "graph {'edges': 3, "),
+            (model_from_dict, {"kind": "roofline"}, "missing key 'w'"),
+            (model_from_dict, [], "malformed model []"),
+        ],
+        ids=["empty-json", "no-tasks", "tasks-not-a-list", "short-edge",
+             "task-without-id", "task-but-no-edges",
+             "edges-not-a-list", "model-without-w", "model-not-a-dict"],
+    )
+    def test_raises_graph_error_naming_the_fault(self, load, data, names):
+        with pytest.raises(GraphError, match=re.escape(names)):
+            load(data)
+
+    def test_typed_errors_pass_through(self):
+        amdahl = {"kind": "amdahl", "w": 1.0, "d": 1.0}
+        with pytest.raises(InvalidParameterError):
+            model_from_dict({"kind": "amdahl", "w": 1.0, "d": -1.0})
+        with pytest.raises(UnknownTaskError):
+            graph_from_dict({"tasks": [{"id": "a", "model": amdahl}], "edges": [["a", "b"]]})
 
 
 class TestNetworkx:

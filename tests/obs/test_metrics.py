@@ -131,13 +131,6 @@ class TestRegistry:
         # The rate is re-derived over all runs, never averaged.
         assert registry.value("engine.alloc_cache_hit_rate") == pytest.approx(0.75)
 
-    def test_subscribers_see_raw_stats(self):
-        registry = MetricsRegistry()
-        seen = []
-        registry.subscribe_engine_stats(seen.append)
-        registry.record_engine_stats({"events": 3})
-        assert seen == [{"events": 3}]
-
     def test_merge_registry_and_dict_forms(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("c").inc(1)

@@ -3,7 +3,7 @@
 Performance counters are pure observability — these tests pin down their
 semantics (what counts as a scan, a skip, a step) and the fast path's
 user-visible guarantees (priority ordering via sorted insertion, stats on
-resilient runs, ``profile_engine`` aggregation).
+resilient runs, ``engine.*`` counters in the ambient metrics registry).
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from repro.exceptions import SimulationError
 from repro.graph.generators import chain, independent_tasks, layered_random
 from repro.graph.taskgraph import TaskGraph
 from repro.obs.events import AllocationDecided, CollectingTracer
+from repro.obs.metrics import collect_metrics
 from repro.resilience.faults import FaultTrace
 from repro.resilience.retry import RetryPolicy
 from repro.sim.allocation import Allocation
-from repro.sim.engine import EngineStats, ListScheduler, SlotLoop, profile_engine
+from repro.sim.engine import EngineStats, ListScheduler, SlotLoop
 from repro.sim.sources import ReleasedTaskSource
 from repro.speedup import (
     AmdahlModel,
@@ -65,13 +66,12 @@ class TestEngineStats:
     def test_hit_rate_zero_when_no_calls(self):
         assert EngineStats().alloc_cache_hit_rate() == 0.0
 
-    def test_merge_and_as_dict(self):
-        a = EngineStats(events=2, tasks_started=3, alloc_cache_hits=5)
-        b = EngineStats(events=1, queue_scans=4, alloc_cache_misses=5)
-        a.merge(b)
+    def test_as_dict_round_trip(self):
+        a = EngineStats(events=3, queue_scans=4, alloc_cache_hits=5, alloc_cache_misses=5)
         d = a.as_dict()
         assert d["events"] == 3 and d["queue_scans"] == 4
         assert d["alloc_cache_hit_rate"] == 0.5
+        assert EngineStats.from_dict(d) == a
         assert "5 cache hits" in a.summary()
 
 
@@ -140,27 +140,27 @@ class TestResilientStats:
         assert stats.queue_scans > 0
 
 
-class TestProfileEngine:
-    def test_sink_accumulates_across_runs(self):
+class TestCollectMetrics:
+    def test_registry_accumulates_across_runs(self):
         graph = independent_tasks(10, comm)
         scheduler = OnlineScheduler.for_family("communication", 8)
-        with profile_engine() as sink:
+        with collect_metrics() as registry:
             scheduler.run(graph)
             scheduler.run(independent_tasks(5, comm))
-            assert sink.tasks_started == 15
+            assert registry.value("engine.tasks_started") == 15
         # Outside the block new runs no longer accumulate.
         scheduler.run(independent_tasks(3, comm))
-        assert sink.tasks_started == 15
+        assert registry.value("engine.tasks_started") == 15
 
-    def test_nested_profiling_restores_outer_sink(self):
+    def test_nested_collection_restores_outer_registry(self):
         graph = independent_tasks(4, comm)
         scheduler = OnlineScheduler.for_family("communication", 8)
-        with profile_engine() as outer:
-            with profile_engine() as inner:
+        with collect_metrics() as outer:
+            with collect_metrics() as inner:
                 scheduler.run(graph)
-            assert inner.tasks_started == 4
+            assert inner.value("engine.tasks_started") == 4
             scheduler.run(graph)
-        assert outer.tasks_started == 4  # only the run outside `inner`
+        assert outer.value("engine.tasks_started") == 4  # only the run outside `inner`
 
 
 @pytest.fixture
