@@ -32,7 +32,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _provenance import bench_commit, bench_label, validate_engine_bench  # noqa: E402
 
 from repro.lint import all_rules, lint_paths  # noqa: E402
-from repro.lint.semantic.base import all_semantic_rules  # noqa: E402
 from repro.lint.semantic.cache import AnalysisCache  # noqa: E402
 
 LINT_TARGETS = [_REPO / "src", _REPO / "tests"]
@@ -40,12 +39,7 @@ LINT_TARGETS = [_REPO / "src", _REPO / "tests"]
 
 def _timed_run(cache: AnalysisCache | None):
     start = time.perf_counter()
-    report = lint_paths(
-        LINT_TARGETS,
-        rules=all_rules(),
-        semantic_rules=all_semantic_rules(),
-        cache=cache,
-    )
+    report = lint_paths(LINT_TARGETS, rules=all_rules(), cache=cache)
     if cache is not None:
         cache.save()
     return time.perf_counter() - start, report

@@ -5,12 +5,13 @@ files and directories, skipping caches and hidden directories.  Both
 apply suppression comments and return findings in deterministic sorted
 order.
 
-Both entry points optionally run whole-program **semantic rules**
-(:mod:`repro.lint.semantic`): per-file rules see one AST at a time,
-semantic rules see the whole parsed project.  Semantic findings anchor
-at concrete source locations, so the same per-line suppression comments
-apply — the engine filters each semantic finding through the suppression
-table of its anchor file.  :func:`lint_paths` additionally accepts an
+Both entry points take one ``rules`` list and run each rule by its kind:
+per-file rules see one AST at a time, whole-program **semantic rules**
+(:mod:`repro.lint.semantic`) see the whole parsed project, built from
+the same parsed files.  Semantic findings anchor at concrete source
+locations, so the same per-line suppression comments apply — the engine
+filters each semantic finding through the suppression table of its
+anchor file.  :func:`lint_paths` additionally accepts an
 :class:`~repro.lint.semantic.cache.AnalysisCache`: per-file results
 replay by content hash, the semantic result replays by whole-project
 fingerprint, and a warm run with no edits does no parsing at all.
@@ -18,15 +19,13 @@ fingerprint, and a warm run with no edits does no parsing at all.
 
 from __future__ import annotations
 
-import ast
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.lint.context import FileContext, collect_import_aliases, module_name_for
+from repro.lint.context import FileContext, module_name_for
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules
-from repro.lint.semantic.base import SemanticRule
+from repro.lint.registry import AnyRule, Rule, SemanticRule, resolve_codes
 from repro.lint.semantic.cache import AnalysisCache, content_hash, ruleset_signature
 from repro.lint.semantic.project import build_project
 from repro.lint.suppressions import Suppressions, parse_suppressions
@@ -82,61 +81,29 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
             yield path
 
 
-def _semantic_pass(
-    rules: Iterable[SemanticRule],
-    contexts: list[FileContext],
-    sources: dict[str, str],
-) -> tuple[list[Finding], int]:
-    """Run semantic rules over parsed contexts, applying suppressions."""
-    project = build_project(contexts)
-    suppression_tables: dict[str, Suppressions] = {}
-    findings: list[Finding] = []
-    suppressed = 0
-    for rule in rules:
-        for finding in rule.check(project):
-            table = suppression_tables.get(finding.path)
-            if table is None and finding.path in sources:
-                table = parse_suppressions(sources[finding.path])
-                suppression_tables[finding.path] = table
-            if table is not None and table.is_suppressed(finding.line, finding.code):
-                suppressed += 1
-            else:
-                findings.append(finding)
-    return findings, suppressed
+def _split(
+    rules: Iterable[AnyRule] | None,
+) -> tuple[list[Rule], list[SemanticRule]]:
+    """Partition the active rules by kind (default: every per-file rule)."""
+    active = list(rules) if rules is not None else resolve_codes()
+    return (
+        [r for r in active if isinstance(r, Rule)],
+        [r for r in active if isinstance(r, SemanticRule)],
+    )
 
 
-def lint_source(
-    source: str,
-    *,
-    path: str = "<string>",
-    module: str | None = None,
-    rules: Iterable[Rule] | None = None,
-    semantic_rules: Iterable[SemanticRule] | None = None,
-) -> LintReport:
-    """Lint one source string and return its report.
-
-    ``module`` scopes package-restricted rules (e.g. RL002 only runs on
-    ``repro.sim`` / ``repro.core``); leave it ``None`` for standalone
-    snippets, which count as in-scope for every rule.  ``semantic_rules``
-    runs whole-program rules against the single-file project — fixture
-    tests exercise cross-file analyzers this way.
-    """
+def _lint_file(
+    source: str, path: str, module: str | None, rules: Sequence[Rule]
+) -> tuple[LintReport, FileContext | None]:
+    """Parse one file, run the per-file rules, and return the parsed context."""
     report = LintReport(files_checked=1)
     try:
-        tree = ast.parse(source, filename=path)
+        ctx = FileContext.from_source(source, path=path, module=module)
     except (SyntaxError, ValueError) as exc:
         report.errors.append((path, f"parse error: {exc}"))
-        return report
-    ctx = FileContext(
-        path=path,
-        tree=tree,
-        source=source,
-        module=module,
-        aliases=collect_import_aliases(tree),
-    )
+        return report, None
     suppressions = parse_suppressions(source)
-    active = list(rules) if rules is not None else all_rules()
-    for rule in active:
+    for rule in rules:
         if not rule.applies_to(ctx):
             continue
         for finding in rule.check(ctx):
@@ -144,33 +111,74 @@ def lint_source(
                 report.suppressed += 1
             else:
                 report.findings.append(finding)
-    if semantic_rules is not None:
-        sem_findings, sem_suppressed = _semantic_pass(
-            semantic_rules, [ctx], {path: source}
-        )
-        report.findings.extend(sem_findings)
-        report.suppressed += sem_suppressed
     report.sort()
+    return report, ctx
+
+
+def _semantic_pass(
+    rules: Sequence[SemanticRule], contexts: list[FileContext]
+) -> LintReport:
+    """Run semantic rules over parsed contexts, applying suppressions."""
+    project = build_project(contexts)
+    sources = {ctx.path: ctx.source for ctx in contexts}
+    suppression_tables: dict[str, Suppressions] = {}
+    report = LintReport()
+    for rule in rules:
+        for finding in rule.check(project):
+            table = suppression_tables.get(finding.path)
+            if table is None and finding.path in sources:
+                table = parse_suppressions(sources[finding.path])
+                suppression_tables[finding.path] = table
+            if table is not None and table.is_suppressed(finding.line, finding.code):
+                report.suppressed += 1
+            else:
+                report.findings.append(finding)
+    return report
+
+
+def lint_source(
+    source: str,
+    *,
+    path: str = "<string>",
+    module: str | None = None,
+    rules: Iterable[AnyRule] | None = None,
+) -> LintReport:
+    """Lint one source string and return its report.
+
+    ``module`` scopes package-restricted rules (e.g. RL002 only runs on
+    ``repro.sim`` / ``repro.core``); leave it ``None`` for standalone
+    snippets, which count as in-scope for every rule.  ``rules`` defaults
+    to every per-file rule; semantic rules among them run against the
+    single-file project — fixture tests exercise cross-file analyzers
+    this way.
+    """
+    file_rules, semantic_rules = _split(rules)
+    report, ctx = _lint_file(source, path, module, file_rules)
+    if ctx is not None and semantic_rules:
+        report.merge(_semantic_pass(semantic_rules, [ctx]))
+        report.sort()
     return report
 
 
 def lint_paths(
     paths: Sequence[str | Path],
     *,
-    rules: Iterable[Rule] | None = None,
-    semantic_rules: Iterable[SemanticRule] | None = None,
+    rules: Iterable[AnyRule] | None = None,
     cache: AnalysisCache | None = None,
 ) -> LintReport:
     """Lint every Python file under ``paths`` and return the merged report.
 
-    With a ``cache``, unchanged files replay their recorded results and —
-    when the whole input set is unchanged — the semantic pass replays
-    from the project fingerprint without parsing anything.  The caller
-    owns persistence (:meth:`AnalysisCache.save`).
+    ``rules`` defaults to every per-file rule.  Each file is parsed at
+    most once: the semantic rules among ``rules`` see the same contexts
+    the per-file rules checked.  With a ``cache``, unchanged files replay
+    their recorded results and — when the whole input set is unchanged —
+    the semantic pass replays from the project fingerprint without
+    parsing anything; a file whose per-file results replay while the
+    project changed is parsed once, for the semantic pass only.  The
+    caller owns persistence (:meth:`AnalysisCache.save`).
     """
-    active = list(rules) if rules is not None else all_rules()
-    semantic_active = list(semantic_rules) if semantic_rules is not None else None
-    file_sig = ruleset_signature([r.code for r in active])
+    file_rules, semantic_rules = _split(rules)
+    file_sig = ruleset_signature([r.code for r in file_rules])
 
     report = LintReport()
     sources: dict[str, str] = {}
@@ -188,19 +196,41 @@ def lint_paths(
         modules[path] = module_name_for(file_path)
         digests[path] = content_hash(source)
 
-    for path, source in sources.items():
-        if cache is not None:
-            replay = cache.get_file(path, digests[path], file_sig)
-            if replay is not None:
-                findings, suppressed, errors = replay
-                report.findings.extend(findings)
-                report.suppressed += suppressed
-                report.errors.extend(errors)
-                report.files_checked += 1
-                continue
-        file_report = lint_source(
-            source, path=path, module=modules[path], rules=active
+    # ``contexts`` collects the parsed files when the semantic pass must
+    # run; it stays ``None`` when there is none or the cache replays it.
+    semantic: LintReport | None = None
+    contexts: list[FileContext] | None = None
+    if semantic_rules:
+        sem_sig = ruleset_signature([r.code for r in semantic_rules])
+        fingerprint = AnalysisCache.project_fingerprint(sorted(digests.items()))
+        replay_sem = (
+            cache.get_semantic(fingerprint, sem_sig) if cache is not None else None
         )
+        if replay_sem is not None:
+            semantic = LintReport(findings=replay_sem[0], suppressed=replay_sem[1])
+        else:
+            contexts = []
+
+    for path, source in sources.items():
+        replay = (
+            cache.get_file(path, digests[path], file_sig) if cache is not None else None
+        )
+        if replay is not None:
+            findings, suppressed, errors = replay
+            report.merge(
+                LintReport(
+                    findings=findings,
+                    files_checked=1,
+                    suppressed=suppressed,
+                    errors=errors,
+                )
+            )
+            if contexts is not None and not errors:
+                contexts.append(
+                    FileContext.from_source(source, path=path, module=modules[path])
+                )
+            continue
+        file_report, ctx = _lint_file(source, path, modules[path], file_rules)
         if cache is not None:
             cache.put_file(
                 path,
@@ -211,33 +241,16 @@ def lint_paths(
                 file_report.errors,
             )
         report.merge(file_report)
+        if contexts is not None and ctx is not None:
+            contexts.append(ctx)
 
-    if semantic_active is not None:
-        sem_sig = ruleset_signature([r.code for r in semantic_active])
-        fingerprint = AnalysisCache.project_fingerprint(sorted(digests.items()))
-        replay_sem = (
-            cache.get_semantic(fingerprint, sem_sig) if cache is not None else None
-        )
-        if replay_sem is not None:
-            sem_findings, sem_suppressed = replay_sem
-        else:
-            contexts = []
-            for path, source in sources.items():
-                try:
-                    contexts.append(
-                        FileContext.from_source(
-                            source, path=path, module=modules[path]
-                        )
-                    )
-                except (SyntaxError, ValueError):
-                    continue  # the per-file pass already reported it
-            sem_findings, sem_suppressed = _semantic_pass(
-                semantic_active, contexts, sources
+    if contexts is not None:
+        semantic = _semantic_pass(semantic_rules, contexts)
+        if cache is not None:
+            cache.put_semantic(
+                fingerprint, sem_sig, semantic.findings, semantic.suppressed
             )
-            if cache is not None:
-                cache.put_semantic(fingerprint, sem_sig, sem_findings, sem_suppressed)
-        report.findings.extend(sem_findings)
-        report.suppressed += sem_suppressed
-
+    if semantic is not None:
+        report.merge(semantic)
     report.sort()
     return report

@@ -1,31 +1,39 @@
-"""Rule base class and the global rule registry.
+"""Rule base classes and the one global rule registry.
 
-Rules self-register at import time via the :func:`register` decorator;
-:func:`all_rules` triggers the import of :mod:`repro.lint.rules` so the
-registry is always populated before use.  Codes are unique and stable —
-they are the public interface of the linter (suppression comments, CI
-logs, and the documentation in ``docs/static-analysis.md`` all refer to
-them).
+There are two kinds of rule: a per-file :class:`Rule` sees one parsed
+file at a time, a :class:`SemanticRule` sees the whole
+:class:`~repro.lint.semantic.project.Project`.  Both self-register at
+import time via the :func:`register` decorator into one registry, so a
+code is unique across both kinds; :func:`all_rules` triggers the import
+of :mod:`repro.lint.rules` so the registry is always populated before
+use.  Codes are stable — they are the public interface of the linter
+(suppression comments, CI logs, and the documentation in
+``docs/static-analysis.md`` all refer to them).
 """
 
 from __future__ import annotations
 
 import abc
 from collections.abc import Iterable, Iterator
-from typing import ClassVar, TypeVar
+from typing import ClassVar, TypeVar, Union
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
+from repro.lint.semantic.project import Project
 
-__all__ = ["Rule", "register", "all_rules", "get_rule", "resolve_codes"]
-
-_REGISTRY: dict[str, "Rule"] = {}
-
-R = TypeVar("R", bound="type[Rule]")
+__all__ = [
+    "AnyRule",
+    "Rule",
+    "SemanticRule",
+    "register",
+    "all_rules",
+    "get_rule",
+    "resolve_codes",
+]
 
 
 class Rule(abc.ABC):
-    """One static-analysis rule with a stable code.
+    """One per-file static-analysis rule with a stable code.
 
     Subclasses set the class attributes and implement :meth:`check`,
     yielding a :class:`Finding` per violation.  Suppression filtering is
@@ -52,6 +60,36 @@ class Rule(abc.ABC):
         return Finding(path=ctx.path, line=line, col=col, code=self.code, message=message)
 
 
+class SemanticRule(abc.ABC):
+    """One whole-program rule with a stable code.
+
+    Subclasses set the same class attributes as :class:`Rule` and
+    implement :meth:`check`, yielding one :class:`Finding` per violation
+    with the most precise anchor available (the read site, the racy
+    write).  Findings anchor at a concrete source location, so the
+    engine filters them through the anchor file's suppression pragmas.
+    """
+
+    code: ClassVar[str]
+    name: ClassVar[str]
+    description: ClassVar[str]
+
+    @abc.abstractmethod
+    def check(self, project: Project) -> Iterator[Finding]:
+        """Yield one finding per violation in ``project``."""
+
+    def finding(self, path: str, line: int, col: int, message: str) -> Finding:
+        """Build a finding for this rule at the given location."""
+        return Finding(path=path, line=line, col=col, code=self.code, message=message)
+
+
+AnyRule = Union[Rule, SemanticRule]
+
+_REGISTRY: dict[str, AnyRule] = {}
+
+R = TypeVar("R", type[Rule], type[SemanticRule])
+
+
 def register(cls: R) -> R:
     """Class decorator adding one instance of ``cls`` to the registry."""
     rule = cls()
@@ -67,40 +105,47 @@ def _ensure_loaded() -> None:
     import repro.lint.rules  # noqa: F401  (import for side effect)
 
 
-def all_rules() -> list[Rule]:
-    """Return every registered rule, sorted by code."""
+def all_rules() -> list[AnyRule]:
+    """Return every registered rule of both kinds, sorted by code."""
     _ensure_loaded()
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
-def get_rule(code: str) -> Rule:
+def get_rule(code: str) -> AnyRule:
     """Return the rule registered under ``code`` (raises ``KeyError``)."""
     _ensure_loaded()
     return _REGISTRY[code]
 
 
+def _normalise(codes: Iterable[str] | None) -> set[str]:
+    return {c.strip().upper() for c in codes or () if c.strip()}
+
+
 def resolve_codes(
-    select: Iterable[str] | None = None, ignore: Iterable[str] | None = None
-) -> list[Rule]:
+    select: Iterable[str] | None = None,
+    ignore: Iterable[str] | None = None,
+    *,
+    semantic: bool = False,
+) -> list[AnyRule]:
     """Return the active rules after ``--select`` / ``--ignore`` filtering.
 
-    Unknown codes raise ``ValueError`` — a misspelled code silently
-    matching nothing would disable a contract check without anyone
-    noticing.
+    Without ``select`` every per-file rule is active, and every semantic
+    rule too when ``semantic`` is set; with ``select`` exactly the named
+    rules are, of either kind.  Unknown codes raise ``ValueError`` — a
+    misspelled code silently matching nothing would disable a contract
+    check without anyone noticing.
     """
     _ensure_loaded()
-    known = set(_REGISTRY)
-    chosen = set(known)
+    wanted, dropped = _normalise(select), _normalise(ignore)
+    unknown = (wanted | dropped) - set(_REGISTRY)
+    if unknown:
+        raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
     if select is not None:
-        wanted = {c.strip().upper() for c in select if c.strip()}
-        unknown = wanted - known
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
         chosen = wanted
-    if ignore is not None:
-        dropped = {c.strip().upper() for c in ignore if c.strip()}
-        unknown = dropped - known
-        if unknown:
-            raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-        chosen -= dropped
-    return [_REGISTRY[code] for code in sorted(chosen)]
+    else:
+        chosen = {
+            code
+            for code, rule in _REGISTRY.items()
+            if semantic or isinstance(rule, Rule)
+        }
+    return [_REGISTRY[code] for code in sorted(chosen - dropped)]

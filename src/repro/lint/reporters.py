@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.lint.engine import LintReport
-from repro.lint.registry import all_rules
-from repro.lint.semantic.base import all_semantic_rules
+from repro.lint.registry import SemanticRule, all_rules
 
 __all__ = ["render_text", "render_json", "render_sarif", "render_rule_list"]
 
@@ -49,17 +48,14 @@ def render_json(report: LintReport) -> str:
 
 
 def _sarif_rules() -> list[dict[str, object]]:
-    catalogue: list[dict[str, object]] = []
-    for rule in [*all_rules(), *all_semantic_rules()]:
-        catalogue.append(
-            {
-                "id": rule.code,
-                "name": rule.name,
-                "shortDescription": {"text": rule.description},
-            }
-        )
-    catalogue.sort(key=lambda r: str(r["id"]))
-    return catalogue
+    return [
+        {
+            "id": rule.code,
+            "name": rule.name,
+            "shortDescription": {"text": rule.description},
+        }
+        for rule in all_rules()
+    ]
 
 
 def render_sarif(report: LintReport) -> str:
@@ -126,10 +122,9 @@ def render_sarif(report: LintReport) -> str:
 def render_rule_list() -> str:
     """Human-readable table of every registered rule (``--list-rules``)."""
     lines = []
-    for rule in all_rules():
-        lines.append(f"{rule.code}  {rule.name}")
+    # Per-file rules first, then the semantic tier; each sorted by code.
+    for rule in sorted(all_rules(), key=lambda r: isinstance(r, SemanticRule)):
+        tag = "  [semantic]" if isinstance(rule, SemanticRule) else ""
+        lines.append(f"{rule.code}  {rule.name}{tag}")
         lines.append(f"       {rule.description}")
-    for sem_rule in all_semantic_rules():
-        lines.append(f"{sem_rule.code}  {sem_rule.name}  [semantic]")
-        lines.append(f"       {sem_rule.description}")
     return "\n".join(lines)

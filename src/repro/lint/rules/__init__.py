@@ -1,13 +1,16 @@
 """Domain-aware lint rules for the repro codebase.
 
-Importing this package registers every rule; the registry in
-:mod:`repro.lint.registry` triggers the import lazily, so rule modules
-must never import the registry's *consumers* (engine, reporters).
+Importing this package registers every rule, of both kinds, into the
+one registry in :mod:`repro.lint.registry`; the registry triggers the
+import lazily, so rule modules must never import the registry's
+*consumers* (engine, reporters).
 
-RL001–RL008 and RL012 are per-file rules (one AST at a time);
-RL009–RL010 are whole-program semantic rules dispatched over the
-:class:`~repro.lint.semantic.project.Project` model when the engine is
-asked for semantic analysis (``python -m repro.lint --semantic``).
+RL001–RL008 and RL012 are per-file :class:`~repro.lint.registry.Rule`
+subclasses (one AST at a time); RL009–RL010 are whole-program
+:class:`~repro.lint.registry.SemanticRule` subclasses, run over the
+:class:`~repro.lint.semantic.project.Project` model built from the same
+parsed files when the engine is asked for semantic analysis
+(``python -m repro.lint --semantic``).
 
 | Code  | Name                    | Invariant protected                          |
 |-------|-------------------------|----------------------------------------------|

@@ -42,7 +42,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.lint.findings import Finding
-from repro.lint.semantic.base import SemanticRule, register_semantic
+from repro.lint.registry import SemanticRule, register
 from repro.lint.semantic.callgraph import CallGraph, param_class_bindings
 from repro.lint.semantic.dataflow import (
     cache_key_covered_attrs,
@@ -86,7 +86,7 @@ def _truthy_class_attr(project: Project, cls: ClassInfo, attr: str) -> bool:
     return False
 
 
-@register_semantic
+@register
 class CacheKeySoundnessRule(SemanticRule):
     code = "RL009"
     name = "cache-key-soundness"

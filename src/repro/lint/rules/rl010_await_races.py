@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.lint.findings import Finding
-from repro.lint.semantic.base import SemanticRule, register_semantic
+from repro.lint.registry import SemanticRule, register
 from repro.lint.semantic.project import FunctionInfo, ModuleInfo, Project
 
 _SCOPES = ("repro.service",)
@@ -130,7 +130,7 @@ def _linearize(fn: ast.AsyncFunctionDef, globals_: set[str]) -> list[_Event]:
     return events
 
 
-@register_semantic
+@register
 class AwaitRaceRule(SemanticRule):
     code = "RL010"
     name = "await-shared-state"

@@ -19,10 +19,6 @@ provides the machinery to check such properties:
 :mod:`~repro.lint.semantic.dataflow`
     Interprocedural ``self.<attr>`` read closures and cache-key
     coverage extraction — the substrate of RL009.
-:mod:`~repro.lint.semantic.base`
-    The :class:`SemanticRule` protocol and its registry; the engine
-    dispatches semantic rules alongside per-file rules when asked
-    (``python -m repro.lint --semantic``).
 :mod:`~repro.lint.semantic.cache`
     The incremental analysis cache keyed on file content hashes, making
     warm re-runs sub-second.
@@ -31,16 +27,13 @@ provides the machinery to check such properties:
     recorded in a baseline file; anything new fails CI.
 
 The analyzers themselves live with the other rules in
-:mod:`repro.lint.rules` (``rl009``–``rl010``).
+:mod:`repro.lint.rules` (``rl009``–``rl010``): they subclass
+:class:`~repro.lint.registry.SemanticRule` and register into the one
+rule registry of :mod:`repro.lint.registry`.  The engine runs them over
+the same parsed files as the per-file rules when asked
+(``python -m repro.lint --semantic``).
 """
 
-from repro.lint.semantic.base import (
-    SemanticRule,
-    all_semantic_rules,
-    get_semantic_rule,
-    register_semantic,
-    semantic_codes,
-)
 from repro.lint.semantic.baseline import (
     Baseline,
     apply_baseline,
@@ -63,13 +56,8 @@ __all__ = [
     "FunctionInfo",
     "ModuleInfo",
     "Project",
-    "SemanticRule",
-    "all_semantic_rules",
     "apply_baseline",
     "build_project",
-    "get_semantic_rule",
     "load_baseline",
-    "register_semantic",
-    "semantic_codes",
     "write_baseline",
 ]

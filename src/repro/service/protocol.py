@@ -45,7 +45,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
-from repro.exceptions import ProtocolError
+from repro.exceptions import ProtocolError, ReproError
 from repro.graph.io import model_from_dict, model_to_dict
 from repro.runtime.serialization import CANONICAL_ENCODER
 from repro.speedup.base import SpeedupModel
@@ -201,7 +201,7 @@ def parse_request(payload: Mapping[str, Any]) -> Request:
     if op == "submit":
         try:
             kwargs["model"] = model_from_dict(kwargs["model"])
-        except Exception as exc:
+        except ReproError as exc:
             raise ProtocolError(f"submit.model: {exc}") from exc
         deps = kwargs.get("deps", [])
         if not all(isinstance(d, str) for d in deps):

@@ -1015,6 +1015,11 @@ class ListScheduler:
         """
         if isinstance(source, TaskGraph):
             source = StaticGraphSource(source)
+        elif not isinstance(source, (StaticGraphSource, GraphSource)):
+            raise InvalidParameterError(
+                "source must be a TaskGraph or a GraphSource, "
+                f"got {type(source).__name__}"
+            )
         if tracer is None:
             tracer = active_tracer()
         emit: _Emit | None = None

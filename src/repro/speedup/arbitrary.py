@@ -36,15 +36,17 @@ class TabulatedModel(SpeedupModel):
     monotonic_hint = False
 
     def __init__(self, times: Sequence[float]) -> None:
-        values = [float(t) for t in times]
-        if not values:
+        try:
+            entries = list(times)
+        except TypeError:
+            raise InvalidParameterError(
+                f"times must be a sequence of numbers, got {type(times).__name__}"
+            ) from None
+        if not entries:
             raise InvalidParameterError("times must contain at least one entry")
-        for k, t in enumerate(values):
-            if not (math.isfinite(t) and t > 0):
-                raise InvalidParameterError(
-                    f"times[{k}] must be a finite positive number, got {t!r}"
-                )
-        self._times = tuple(values)
+        self._times = tuple(
+            check_positive(t, f"times[{k}]") for k, t in enumerate(entries)
+        )
 
     def time(self, p: int) -> float:
         p = self._check_p(p)

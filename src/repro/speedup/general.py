@@ -59,7 +59,7 @@ class GeneralModel(SpeedupModel):
                 is_integral = not isinstance(max_parallelism, bool) and (
                     max_parallelism == int(max_parallelism)
                 )
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 is_integral = False
             if not is_integral:
                 raise InvalidParameterError(

@@ -21,6 +21,11 @@ __all__ = [
 ]
 
 
+def _beyond_float_range(name: str) -> InvalidParameterError:
+    # No repr of the value: an int past 4300 digits cannot be printed.
+    return InvalidParameterError(f"{name} must be finite, got a number beyond float range")
+
+
 def _check_finite_real(value: object, name: str) -> float:
     # Exact float/int first: skips the ``numbers.Real`` ABC check, the
     # costly part for the plain Python numbers most callers pass.
@@ -28,10 +33,16 @@ def _check_finite_real(value: object, name: str) -> float:
         if math.isfinite(value):
             return value
     elif type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise _beyond_float_range(name) from None
     if isinstance(value, bool) or not isinstance(value, Real):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise _beyond_float_range(name) from None
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value

@@ -1,11 +1,17 @@
 """Unit tests for graph/model (de)serialization and networkx interop."""
 
+import math
 import re
 
 import networkx as nx
 import pytest
 
-from repro.exceptions import GraphError, InvalidParameterError, UnknownTaskError
+from repro.exceptions import (
+    GraphError,
+    InvalidParameterError,
+    ReproError,
+    UnknownTaskError,
+)
 from repro.graph import TaskGraph, from_networkx, to_networkx
 from repro.graph.io import (
     graph_from_dict,
@@ -119,6 +125,60 @@ class TestMalformedInput:
             model_from_dict({"kind": "amdahl", "w": 1.0, "d": -1.0})
         with pytest.raises(UnknownTaskError):
             graph_from_dict({"tasks": [{"id": "a", "model": amdahl}], "edges": [["a", "b"]]})
+
+
+#: One valid wire form per model kind; the fuzz below swaps each field.
+_VALID_MODELS = {
+    "roofline": {"kind": "roofline", "w": 2.0, "max_parallelism": 4},
+    "communication": {"kind": "communication", "w": 2.0, "c": 0.1},
+    "amdahl": {"kind": "amdahl", "w": 2.0, "d": 0.5},
+    "general": {"kind": "general", "w": 2.0, "d": 0.5, "c": 0.1, "max_parallelism": 4},
+    "power": {"kind": "power", "w": 2.0, "exponent": 0.5},
+    "log": {"kind": "log", "base": 2.0},
+    "tabulated": {"kind": "tabulated", "times": [3.0, 2.0]},
+}
+_HOSTILE = [10**400, math.inf, math.nan, None, "x", True]
+
+
+class TestModelFieldFuzz:
+    """Every (kind, field) given a hostile value loads or raises ReproError."""
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [(k, f) for k, d in _VALID_MODELS.items() for f in d if f != "kind"],
+    )
+    @pytest.mark.parametrize(
+        "value", _HOSTILE, ids=["huge-int", "inf", "nan", "none", "str", "true"]
+    )
+    def test_only_typed_errors(self, kind, field, value):
+        data = {**_VALID_MODELS[kind], field: value}
+        try:
+            model_from_dict(data)
+        except ReproError:
+            pass
+        if kind == "tabulated":
+            with pytest.raises(ReproError):
+                model_from_dict({**data, "times": [1.0, value]})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TabulatedModel([None, 1.0]),
+            lambda: TabulatedModel(None),
+            lambda: GeneralModel(1.0, max_parallelism=math.inf),
+            lambda: AmdahlModel(10**400, 1.0),
+            lambda: PowerLawModel(1.0, 10**400),
+        ],
+        ids=["table-none", "table-not-a-sequence", "inf-parallelism",
+             "huge-int-work", "huge-int-exponent"],
+    )
+    def test_constructors_raise_invalid_parameter(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()
+
+    def test_huge_int_message_does_not_print_the_value(self):
+        with pytest.raises(InvalidParameterError, match="beyond float range"):
+            AmdahlModel(10**5000, 1.0)
 
 
 class TestNetworkx:

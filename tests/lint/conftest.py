@@ -8,7 +8,7 @@ import pytest
 from repro.lint import LintReport, lint_source
 from repro.lint.context import FileContext, module_name_for
 from repro.lint.findings import Finding
-from repro.lint.semantic.base import get_semantic_rule
+from repro.lint.registry import get_rule
 from repro.lint.semantic.project import build_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -53,8 +53,7 @@ def lint_semantic_fixture(
         source,
         path=name,
         module=module,
-        rules=[],
-        semantic_rules=[get_semantic_rule(code)],
+        rules=[get_rule(code)],
     )
 
 
@@ -82,7 +81,7 @@ def tree_findings(
                 )
             )
     project = build_project(contexts)
-    return list(get_semantic_rule(code).check(project))
+    return list(get_rule(code).check(project))
 
 
 @pytest.fixture

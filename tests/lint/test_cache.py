@@ -2,8 +2,7 @@
 
 from pathlib import Path
 
-from repro.lint import lint_paths
-from repro.lint.semantic.base import get_semantic_rule
+from repro.lint import get_rule, lint_paths, resolve_codes
 from repro.lint.semantic.cache import AnalysisCache, content_hash, ruleset_signature
 
 DIRTY = "import random\n\n\ndef draw() -> float:\n    return random.random()\n"
@@ -24,7 +23,7 @@ def make_tree(tmp_path: Path) -> Path:
 
 def run(tree: Path, cache: AnalysisCache):
     report = lint_paths(
-        [tree], semantic_rules=[get_semantic_rule("RL010")], cache=cache
+        [tree], rules=[*resolve_codes(), get_rule("RL010")], cache=cache
     )
     cache.save()
     return report

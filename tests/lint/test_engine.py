@@ -1,15 +1,30 @@
 """Engine behavior: file discovery, module naming, report aggregation."""
 
+import ast
+from collections.abc import Iterator
 from pathlib import Path
 
-from repro.lint import all_rules, lint_paths, lint_source, resolve_codes
+import pytest
+
+from repro.lint import (
+    Rule,
+    SemanticRule,
+    all_rules,
+    lint_paths,
+    lint_source,
+    register,
+    resolve_codes,
+)
 from repro.lint.context import module_name_for
 from repro.lint.engine import iter_python_files
+from repro.lint.findings import Finding
+from repro.lint.semantic.cache import AnalysisCache
+from repro.lint.semantic.project import Project
 
 
 class TestRegistry:
     def test_per_file_rules_registered(self):
-        codes = [rule.code for rule in all_rules()]
+        codes = [rule.code for rule in all_rules() if isinstance(rule, Rule)]
         assert codes == [
             "RL001",
             "RL002",
@@ -37,10 +52,36 @@ class TestRegistry:
         assert len(rules) == 8
 
     def test_unknown_code_raises(self):
-        import pytest
-
         with pytest.raises(ValueError):
             resolve_codes(select=["RL999"])
+
+    def test_one_registry_holds_both_kinds(self):
+        semantic = [r.code for r in all_rules() if isinstance(r, SemanticRule)]
+        assert semantic == ["RL009", "RL010"]
+        assert len(all_rules()) == 11
+
+    def test_semantic_rules_join_on_request_or_selection(self):
+        codes = [r.code for r in resolve_codes(semantic=True)]
+        assert codes[-3:] == ["RL009", "RL010", "RL012"]
+        assert len(codes) == 11
+        selected = resolve_codes(select=["RL010", "RL001"])
+        assert [r.code for r in selected] == ["RL001", "RL010"]
+        ignored = resolve_codes(ignore=["RL009"], semantic=True)
+        assert [r.code for r in ignored][-2:] == ["RL010", "RL012"]
+
+    def test_code_unique_across_kinds(self):
+        class Clash(SemanticRule):
+            code = "RL001"
+            name = "clash"
+            description = "reuses a per-file code"
+
+            def check(self, project: Project) -> Iterator[Finding]:
+                yield from ()
+
+        all_rules()  # load the real rules first
+        with pytest.raises(ValueError, match="RL001"):
+            register(Clash)
+        assert isinstance(resolve_codes(select=["RL001"])[0], Rule)
 
 
 class TestModuleNaming:
@@ -101,3 +142,58 @@ class TestReports:
         report = lint_paths([tmp_path])
         paths = [f.path for f in report.findings]
         assert paths == sorted(paths)
+
+
+class TestSingleParse:
+    """A run parses each file at most once, whichever rules it runs."""
+
+    RACE = (
+        "class C:\n"
+        "    async def bump(self) -> None:\n"
+        "        snap = self.x\n"
+        "        await self.wait()\n"
+        "        self.x = snap + 1\n"
+    )
+
+    @pytest.fixture
+    def parses(self, monkeypatch: pytest.MonkeyPatch) -> list[str]:
+        seen: list[str] = []
+        real = ast.parse
+
+        def counting(source, filename="<unknown>", *args, **kwargs):
+            seen.append(str(filename))
+            return real(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting)
+        return seen
+
+    def make_tree(self, tmp_path: Path) -> Path:
+        (tmp_path / "race.py").write_text(self.RACE)
+        (tmp_path / "dirty.py").write_text("import random\nrandom.random()\n")
+        (tmp_path / "broken.py").write_text("def broken(:\n")
+        return tmp_path
+
+    def test_cold_semantic_run_parses_each_file_once(self, tmp_path, parses):
+        tree = self.make_tree(tmp_path)
+        report = lint_paths([tree], rules=resolve_codes(semantic=True))
+        assert sorted(parses) == sorted(str(p) for p in tree.glob("*.py"))
+        assert {f.code for f in report.findings} == {"RL001", "RL010"}
+        assert len(report.errors) == 1
+
+    def test_replayed_files_parse_once_for_a_changed_project(self, tmp_path, parses):
+        tree = self.make_tree(tmp_path)
+        rules = resolve_codes(semantic=True)
+        cache = AnalysisCache(tmp_path / "cache.json")
+        cold = lint_paths([tree], rules=rules, cache=cache)
+        parses.clear()
+        assert lint_paths([tree], rules=rules, cache=cache).findings == cold.findings
+        assert parses == []  # a warm run replays without parsing
+        (tree / "clean.py").write_text("X = 1\n")
+        warm = lint_paths([tree], rules=rules, cache=cache)
+        # dirty.py and race.py replay their per-file results and are parsed
+        # once for the semantic pass; broken.py replays its parse error.
+        assert sorted(parses) == sorted(
+            str(tree / name) for name in ("clean.py", "dirty.py", "race.py")
+        )
+        assert warm.findings == cold.findings
+        assert warm.errors == cold.errors

@@ -1,14 +1,12 @@
 """RL010 await-point races: fixtures, event ordering, and the real service."""
 
 from repro.lint import lint_source
-from repro.lint.semantic.base import get_semantic_rule
+from repro.lint.registry import get_rule
 from tests.lint.conftest import lint_semantic_fixture, tree_findings
 
 
 def run(source: str):
-    return lint_source(
-        source, rules=[], semantic_rules=[get_semantic_rule("RL010")]
-    ).findings
+    return lint_source(source, rules=[get_rule("RL010")]).findings
 
 
 class TestFixtures:

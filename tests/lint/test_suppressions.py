@@ -101,12 +101,11 @@ class TestSemanticSuppression:
     )
 
     def _run(self, write_line: str):
-        from repro.lint.semantic.base import get_semantic_rule
+        from repro.lint.registry import get_rule
 
         return lint_source(
             self.RACY.format(write_line=write_line),
-            rules=[],
-            semantic_rules=[get_semantic_rule("RL010")],
+            rules=[get_rule("RL010")],
         )
 
     def test_suppressed_at_the_write_site(self):

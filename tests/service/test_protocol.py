@@ -93,6 +93,21 @@ class TestParseRequest:
                 {"op": "submit", "task": "t", "model": model_dict, "deps": [1, 2]}
             )
 
+    @pytest.mark.parametrize("field", ["w", "d"])
+    def test_huge_int_model_field_is_a_protocol_error(self, field):
+        model = {"kind": "amdahl", "w": 1.0, "d": 1.0, field: 10**400}
+        with pytest.raises(ProtocolError, match="submit.model"):
+            parse_request({"op": "submit", "task": "t", "model": model})
+
+    def test_untyped_model_failure_is_not_masked(self, monkeypatch):
+        def broken(data):
+            raise AttributeError("a bug, not bad input")
+
+        monkeypatch.setattr(protocol, "model_from_dict", broken)
+        model = request_to_dict(Submit(task="t", model=AmdahlModel(1.0, 1.0)))["model"]
+        with pytest.raises(AttributeError, match="a bug"):
+            parse_request({"op": "submit", "task": "t", "model": model})
+
 
 def documented_keys():
     """Response kind -> keys, read from the module docstring's table."""

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.online import MaxUsefulAllocator
-from repro.exceptions import ScheduleError, SimulationError
+from repro.exceptions import InvalidParameterError, ScheduleError, SimulationError
 from repro.graph import TaskGraph
 from repro.sim import Allocation, Allocator, ListScheduler, ReleasedTaskSource
 from repro.sim.sources import StaticGraphSource, slot_view
@@ -190,6 +190,11 @@ def two_step_graph():
 
 class TestLoopGuards:
     """Every error the fault-free loop raises keeps its exception type."""
+
+    @pytest.mark.parametrize("source", [[1, 2], None, "graph"])
+    def test_non_source_is_a_typed_error(self, source):
+        with pytest.raises(InvalidParameterError, match="TaskGraph or a GraphSource"):
+            ListScheduler(4, MaxUsefulAllocator()).run(source)
 
     @pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
     def test_negative_time_is_end_before_start(self, cache):
