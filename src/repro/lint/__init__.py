@@ -4,12 +4,12 @@ The test suite checks this repository's invariants *dynamically*: golden
 digests pin bit-exact schedules, campaign tests pin parallel-equals-serial
 execution, allocator-cache tests pin Algorithm 2's memoization.  This
 package enforces the *preconditions* of those invariants statically, at
-review time, as per-file AST rules (RL001–RL008, RL012) plus
-whole-program semantic rules (RL009–RL010).  Both kinds register into
-one registry (:mod:`repro.lint.registry`), every file is parsed once per
-run, and the output is a report: per-line
-``# repro-lint: disable=CODE`` suppressions, a committed baseline, and
-text/JSON/SARIF reporters.  The linter never rewrites source.
+review time, as per-file AST rules (RL001–RL008, RL012) plus the
+whole-program semantic rule RL009.  Both kinds register into one
+registry (:mod:`repro.lint.registry`), every file is parsed once per
+run, and the output is a report in text, JSON or SARIF.  A finding is
+accepted in one way only: a per-line ``# repro-lint: disable=CODE``
+comment with a reason.  The linter never rewrites source.
 
 Usage::
 

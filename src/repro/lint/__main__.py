@@ -3,9 +3,8 @@
 Exit codes: 0 clean, 1 findings or parse errors, 2 usage error.
 
 Beyond the per-file rules, ``--semantic`` runs the whole-program
-analyzers (RL009–RL010); ``--cache`` makes warm re-runs replay unchanged
-results; ``--baseline`` subtracts committed, justified findings so only
-*new* findings fail.
+analyzer (RL009); ``--cache`` makes warm re-runs replay unchanged
+results.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from repro.lint.reporters import (
     render_sarif,
     render_text,
 )
-from repro.lint.semantic.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.semantic.cache import AnalysisCache
 
 
@@ -31,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Static analysis of repro's correctness contracts "
-        "(per-file RL001-RL008 and RL012, semantic RL009-RL010).",
+        "(per-file RL001-RL008 and RL012, semantic RL009).",
     )
     parser.add_argument(
         "paths",
@@ -60,24 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--semantic",
         action="store_true",
-        help="also run the whole-program semantic analyzers (RL009-RL010)",
+        help="also run the whole-program semantic analyzer (RL009)",
     )
     parser.add_argument(
         "--cache",
         metavar="PATH",
         help="incremental analysis cache file (created when missing); "
         "unchanged files and an unchanged project replay instantly",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="committed baseline of accepted findings; only findings NOT in "
-        "the baseline fail the run (stale entries are reported)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the --baseline file from the current findings and exit 0",
     )
     parser.add_argument(
         "--list-rules",
@@ -99,8 +86,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.list_rules:
         print(render_rule_list())
         return 0
-    if options.update_baseline and not options.baseline:
-        parser.error("--update-baseline requires --baseline PATH")
     missing = [path for path in options.paths if not Path(path).exists()]
     if missing:
         parser.error(f"no such file or directory: {', '.join(missing)}")
@@ -120,35 +105,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if cache is not None:
         cache.save()
 
-    stale_lines: list[str] = []
-    if options.baseline and options.update_baseline:
-        write_baseline(options.baseline, report.findings)
-        print(
-            f"baseline updated: {len(report.findings)} finding(s) "
-            f"recorded in {options.baseline}"
-        )
-        return 0
-    if options.baseline:
-        try:
-            baseline = load_baseline(options.baseline)
-        except ValueError as exc:
-            parser.error(str(exc))
-        result = apply_baseline(report.findings, baseline)
-        report.findings = result.new
-        report.baselined = result.matched
-        stale_lines = [
-            f"stale baseline entry (no longer fires): {path}: {code} {message}"
-            for path, code, message in result.stale
-        ]
-
     if options.format == "json":
         print(render_json(report))
     elif options.format == "sarif":
         print(render_sarif(report))
     else:
         print(render_text(report))
-    for line in stale_lines:
-        print(line, file=sys.stderr)
     return report.exit_code
 
 

@@ -44,8 +44,6 @@ class LintReport:
     suppressed: int = 0
     #: Files that could not be parsed: ``(path, error message)``.
     errors: list[tuple[str, str]] = field(default_factory=list)
-    #: Findings absorbed by a committed baseline (not in ``findings``).
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -58,7 +56,6 @@ class LintReport:
         self.files_checked += other.files_checked
         self.suppressed += other.suppressed
         self.errors.extend(other.errors)
-        self.baselined += other.baselined
 
     def sort(self) -> None:
         """Sort findings into the canonical (path, line, col, code) order."""

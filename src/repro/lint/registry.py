@@ -17,6 +17,7 @@ import abc
 from collections.abc import Iterable, Iterator
 from typing import ClassVar, TypeVar, Union
 
+from repro.exceptions import InvalidParameterError
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.semantic.project import Project
@@ -95,7 +96,7 @@ def register(cls: R) -> R:
     rule = cls()
     code = rule.code
     if code in _REGISTRY:
-        raise ValueError(f"duplicate lint rule code {code!r}")
+        raise InvalidParameterError(f"duplicate lint rule code {code!r}")
     _REGISTRY[code] = rule
     return cls
 
@@ -131,7 +132,8 @@ def resolve_codes(
 
     Without ``select`` every per-file rule is active, and every semantic
     rule too when ``semantic`` is set; with ``select`` exactly the named
-    rules are, of either kind.  Unknown codes raise ``ValueError`` — a
+    rules are, of either kind.  Unknown codes raise
+    :class:`~repro.exceptions.InvalidParameterError` (a ``ValueError``) — a
     misspelled code silently matching nothing would disable a contract
     check without anyone noticing.
     """
@@ -139,7 +141,9 @@ def resolve_codes(
     wanted, dropped = _normalise(select), _normalise(ignore)
     unknown = (wanted | dropped) - set(_REGISTRY)
     if unknown:
-        raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
+        raise InvalidParameterError(
+            f"unknown rule code(s): {', '.join(sorted(unknown))}"
+        )
     if select is not None:
         chosen = wanted
     else:

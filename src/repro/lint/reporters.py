@@ -26,8 +26,6 @@ def render_text(report: LintReport) -> str:
         f"{n} {noun} in {report.files_checked} {file_noun}"
         f" ({report.suppressed} suppressed)"
     )
-    if report.baselined:
-        summary += f", {report.baselined} baselined"
     if report.errors:
         summary += f", {len(report.errors)} failed to parse"
     lines.append(summary)
@@ -40,7 +38,6 @@ def render_json(report: LintReport) -> str:
         "version": 1,
         "files_checked": report.files_checked,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
         "findings": [f.to_dict() for f in report.findings],
         "errors": [{"path": p, "message": m} for p, m in report.errors],
     }

@@ -6,8 +6,8 @@ import lazily, so rule modules must never import the registry's
 *consumers* (engine, reporters).
 
 RL001–RL008 and RL012 are per-file :class:`~repro.lint.registry.Rule`
-subclasses (one AST at a time); RL009–RL010 are whole-program
-:class:`~repro.lint.registry.SemanticRule` subclasses, run over the
+subclasses (one AST at a time); RL009 is the whole-program
+:class:`~repro.lint.registry.SemanticRule`, run over the
 :class:`~repro.lint.semantic.project.Project` model built from the same
 parsed files when the engine is asked for semantic analysis
 (``python -m repro.lint --semantic``).
@@ -23,7 +23,6 @@ parsed files when the engine is asked for semantic analysis
 | RL007 | frozen-events           | immutable, schema-complete event vocabulary  |
 | RL008 | batch-vectorization     | whole-array batch engine (no per-task loops) |
 | RL009 | cache-key-soundness     | cache_key() covers every decision-path read  |
-| RL010 | await-shared-state      | no racy read-modify-write across await       |
 | RL012 | emit-guard              | zero-cost disabled tracing (guarded emits)   |
 """
 
@@ -37,7 +36,6 @@ from repro.lint.rules import (
     rl007_frozen_events,
     rl008_batch_vectorization,
     rl009_cache_key_soundness,
-    rl010_await_races,
     rl012_emit_guards,
 )
 
@@ -51,6 +49,5 @@ __all__ = [
     "rl007_frozen_events",
     "rl008_batch_vectorization",
     "rl009_cache_key_soundness",
-    "rl010_await_races",
     "rl012_emit_guards",
 ]

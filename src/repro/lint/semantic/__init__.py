@@ -3,9 +3,8 @@
 The per-file rules (RL001–RL008, RL012) see one AST at a time; some
 contracts are *cross-module*: the allocation cache is only sound if
 :meth:`~repro.speedup.SpeedupModel.cache_key` covers every model
-attribute the allocator decision paths read, and the asyncio service
-must not mutate shared state across ``await`` points.  This package
-provides the machinery to check such properties:
+attribute the allocator decision paths read.  This package provides the
+machinery to check such properties:
 
 :mod:`~repro.lint.semantic.project`
     The project model — every file parsed once, classes and functions
@@ -22,24 +21,15 @@ provides the machinery to check such properties:
 :mod:`~repro.lint.semantic.cache`
     The incremental analysis cache keyed on file content hashes, making
     warm re-runs sub-second.
-:mod:`~repro.lint.semantic.baseline`
-    The committed-baseline mechanism: known, justified findings are
-    recorded in a baseline file; anything new fails CI.
 
-The analyzers themselves live with the other rules in
-:mod:`repro.lint.rules` (``rl009``–``rl010``): they subclass
-:class:`~repro.lint.registry.SemanticRule` and register into the one
-rule registry of :mod:`repro.lint.registry`.  The engine runs them over
+The analyzer itself (RL009) lives with the other rules in
+:mod:`repro.lint.rules`: it subclasses
+:class:`~repro.lint.registry.SemanticRule` and registers into the one
+rule registry of :mod:`repro.lint.registry`.  The engine runs it over
 the same parsed files as the per-file rules when asked
 (``python -m repro.lint --semantic``).
 """
 
-from repro.lint.semantic.baseline import (
-    Baseline,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.semantic.cache import AnalysisCache
 from repro.lint.semantic.project import (
     ClassInfo,
@@ -51,13 +41,9 @@ from repro.lint.semantic.project import (
 
 __all__ = [
     "AnalysisCache",
-    "Baseline",
     "ClassInfo",
     "FunctionInfo",
     "ModuleInfo",
     "Project",
-    "apply_baseline",
     "build_project",
-    "load_baseline",
-    "write_baseline",
 ]

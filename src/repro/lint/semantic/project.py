@@ -67,10 +67,6 @@ class FunctionInfo:
     #: Qualified name of the owning class, or ``None`` for module functions.
     owner: str | None = None
 
-    @property
-    def is_async(self) -> bool:
-        return isinstance(self.node, ast.AsyncFunctionDef)
-
 
 @dataclass
 class ClassInfo:
@@ -98,14 +94,10 @@ class ModuleInfo:
     #: Dotted module name, or a path-derived stand-in outside packages.
     name: str
     path: str
-    tree: ast.Module
-    source: str
     #: Local name -> fully-qualified import target (plus assignment aliases).
     aliases: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
-    #: Module-level assigned names -> the (first) assigned value node.
-    module_assigns: dict[str, ast.expr | None] = field(default_factory=dict)
 
 
 class Project:
@@ -240,10 +232,6 @@ class Project:
                 return c.methods[name]
         return None
 
-    def is_subclass_of(self, cls: ClassInfo, root_name: str) -> bool:
-        """Whether ``cls``'s MRO contains a class named ``root_name``."""
-        return any(c.name == root_name for c in self.mro(cls))
-
     # ------------------------------------------------------------------
     # Annotations
     # ------------------------------------------------------------------
@@ -308,8 +296,6 @@ def _collect_module(ctx: FileContext) -> ModuleInfo:
     mod = ModuleInfo(
         name=name,
         path=ctx.path,
-        tree=ctx.tree,
-        source=ctx.source,
         aliases=dict(ctx.aliases),
     )
     for node in ctx.tree.body:
@@ -324,12 +310,6 @@ def _collect_module(ctx: FileContext) -> ModuleInfo:
             mod.functions[node.name] = info
         elif isinstance(node, ast.ClassDef):
             mod.classes[node.name] = _collect_class(node, name, ctx.path)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                for leaf in _name_targets(target):
-                    mod.module_assigns.setdefault(leaf, node.value)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            mod.module_assigns.setdefault(node.target.id, node.value)
     return mod
 
 

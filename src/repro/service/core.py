@@ -28,6 +28,7 @@ semantics.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -118,8 +119,11 @@ class ServiceCore:
             )
         if request.priority < 0:
             raise ProtocolError(f"priority must be >= 0, got {request.priority}")
-        if request.deadline is not None and request.deadline <= 0:
-            raise ProtocolError(f"deadline must be > 0, got {request.deadline}")
+        # NaN fails every comparison, so a NaN deadline would never evict.
+        if request.deadline is not None and not 0 < request.deadline < math.inf:
+            raise ProtocolError(
+                f"deadline must be finite and > 0, got {request.deadline}"
+            )
         quota = self._clamped_quota(request)
         self._record(
             "hello",

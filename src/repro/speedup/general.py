@@ -105,7 +105,9 @@ class GeneralModel(SpeedupModel):
         if self.max_parallelism is None:
             effective = p
         else:
-            effective = np.minimum(p, np.float64(self.max_parallelism))
+            # p <= P, so clamping the bound to P first changes no value and
+            # keeps a bound beyond float range (e.g. 10**400) convertible.
+            effective = np.minimum(p, np.float64(min(P, self.max_parallelism)))
         return self.w / effective + self.d + self.c * (p - 1.0)
 
     def max_useful_processors(self, P: int) -> int:

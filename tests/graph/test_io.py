@@ -153,9 +153,14 @@ class TestModelFieldFuzz:
     def test_only_typed_errors(self, kind, field, value):
         data = {**_VALID_MODELS[kind], field: value}
         try:
-            model_from_dict(data)
+            model = model_from_dict(data)
         except ReproError:
             pass
+        else:
+            # A model the loader accepts evaluates on every vector path.
+            model.times(4)
+            model.areas(4)
+            model.is_monotonic(4)
         if kind == "tabulated":
             with pytest.raises(ReproError):
                 model_from_dict({**data, "times": [1.0, value]})

@@ -32,9 +32,30 @@ RULE_CODES = (
 #: Whole-program rules; their fixtures run through the semantic pass of
 #: :func:`lint_semantic_fixture` (single-file projects) instead of the
 #: per-file pass.
-SEMANTIC_CODES = (
-    "RL009",
-    "RL010",
+SEMANTIC_CODES = ("RL009",)
+
+#: A minimal RL009 violation that no per-file rule flags: the allocator
+#: reads ``model.k``, which ``LeakyModel.cache_key()`` does not cover.  The
+#: one finding anchors at line 6, ``class LeakyModel(SpeedupModel):``;
+#: keying on ``(self.w, self.k)`` makes the source clean.
+LEAKY_MODEL = (
+    "class SpeedupModel:\n"
+    "    def cache_key(self) -> object:\n"
+    "        return None\n"
+    "\n"
+    "\n"
+    "class LeakyModel(SpeedupModel):\n"
+    "    def __init__(self, w: float, k: float) -> None:\n"
+    "        self.w = w\n"
+    "        self.k = k\n"
+    "\n"
+    "    def cache_key(self) -> object:\n"
+    "        return (self.w,)\n"
+    "\n"
+    "\n"
+    "class Allocator:\n"
+    "    def allocate(self, model: SpeedupModel, P: int) -> int:\n"
+    "        return P if model.k > 1 else 1\n"
 )
 
 

@@ -2,29 +2,21 @@
 
 from pathlib import Path
 
-from repro.lint import get_rule, lint_paths, resolve_codes
+from repro.lint import lint_paths, resolve_codes
 from repro.lint.semantic.cache import AnalysisCache, content_hash, ruleset_signature
+from tests.lint.conftest import LEAKY_MODEL
 
 DIRTY = "import random\n\n\ndef draw() -> float:\n    return random.random()\n"
-RACE = (
-    "class C:\n"
-    "    async def bump(self) -> None:\n"
-    "        snap = self.x\n"
-    "        await self.wait()\n"
-    "        self.x = snap + 1\n"
-)
 
 
 def make_tree(tmp_path: Path) -> Path:
     (tmp_path / "dirty.py").write_text(DIRTY, encoding="utf-8")
-    (tmp_path / "race.py").write_text(RACE, encoding="utf-8")
+    (tmp_path / "leaky.py").write_text(LEAKY_MODEL, encoding="utf-8")
     return tmp_path
 
 
 def run(tree: Path, cache: AnalysisCache):
-    report = lint_paths(
-        [tree], rules=[*resolve_codes(), get_rule("RL010")], cache=cache
-    )
+    report = lint_paths([tree], rules=resolve_codes(semantic=True), cache=cache)
     cache.save()
     return report
 
@@ -49,7 +41,7 @@ class TestReplay:
         cache_path = tmp_path / "cache.json"
         run(tree, AnalysisCache(cache_path))
         warm = run(tree, AnalysisCache(cache_path))
-        assert {f.code for f in warm.findings} == {"RL001", "RL010"}
+        assert {f.code for f in warm.findings} == {"RL001", "RL009"}
 
 
 class TestInvalidation:
@@ -58,16 +50,16 @@ class TestInvalidation:
         cache_path = tmp_path / "cache.json"
         run(tree, AnalysisCache(cache_path))
 
-        # Fix the race: the semantic fingerprint and the file entry must
-        # both invalidate, and the RL010 finding must disappear.
-        (tree / "race.py").write_text(
-            RACE.replace("self.x = snap + 1", "self.x = self.x + 1"),
+        # Key the leaked attribute: the semantic fingerprint and the file
+        # entry must both invalidate, and the RL009 finding must disappear.
+        (tree / "leaky.py").write_text(
+            LEAKY_MODEL.replace("(self.w,)", "(self.w, self.k)"),
             encoding="utf-8",
         )
         cache = AnalysisCache(cache_path)
         report = run(tree, cache)
         assert cache.hits >= 1  # dirty.py replays untouched
-        assert cache.misses >= 2  # race.py + the whole-program entry
+        assert cache.misses >= 2  # leaky.py + the whole-program entry
         assert {f.code for f in report.findings} == {"RL001"}
 
     def test_ruleset_signature_depends_on_codes(self):
@@ -88,7 +80,7 @@ class TestRobustness:
         cache = AnalysisCache(cache_path)
         report = run(tree, cache)
         assert cache.hits == 0
-        assert {f.code for f in report.findings} == {"RL001", "RL010"}
+        assert {f.code for f in report.findings} == {"RL001", "RL009"}
         # The save overwrote the corruption; the next run is warm.
         cache2 = AnalysisCache(cache_path)
         run(tree, cache2)

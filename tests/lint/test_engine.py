@@ -20,6 +20,7 @@ from repro.lint.engine import iter_python_files
 from repro.lint.findings import Finding
 from repro.lint.semantic.cache import AnalysisCache
 from repro.lint.semantic.project import Project
+from tests.lint.conftest import LEAKY_MODEL
 
 
 class TestRegistry:
@@ -57,17 +58,17 @@ class TestRegistry:
 
     def test_one_registry_holds_both_kinds(self):
         semantic = [r.code for r in all_rules() if isinstance(r, SemanticRule)]
-        assert semantic == ["RL009", "RL010"]
-        assert len(all_rules()) == 11
+        assert semantic == ["RL009"]
+        assert len(all_rules()) == 10
 
     def test_semantic_rules_join_on_request_or_selection(self):
         codes = [r.code for r in resolve_codes(semantic=True)]
-        assert codes[-3:] == ["RL009", "RL010", "RL012"]
-        assert len(codes) == 11
-        selected = resolve_codes(select=["RL010", "RL001"])
-        assert [r.code for r in selected] == ["RL001", "RL010"]
+        assert codes[-2:] == ["RL009", "RL012"]
+        assert len(codes) == 10
+        selected = resolve_codes(select=["RL009", "RL001"])
+        assert [r.code for r in selected] == ["RL001", "RL009"]
         ignored = resolve_codes(ignore=["RL009"], semantic=True)
-        assert [r.code for r in ignored][-2:] == ["RL010", "RL012"]
+        assert ignored == resolve_codes()
 
     def test_code_unique_across_kinds(self):
         class Clash(SemanticRule):
@@ -147,14 +148,6 @@ class TestReports:
 class TestSingleParse:
     """A run parses each file at most once, whichever rules it runs."""
 
-    RACE = (
-        "class C:\n"
-        "    async def bump(self) -> None:\n"
-        "        snap = self.x\n"
-        "        await self.wait()\n"
-        "        self.x = snap + 1\n"
-    )
-
     @pytest.fixture
     def parses(self, monkeypatch: pytest.MonkeyPatch) -> list[str]:
         seen: list[str] = []
@@ -168,7 +161,7 @@ class TestSingleParse:
         return seen
 
     def make_tree(self, tmp_path: Path) -> Path:
-        (tmp_path / "race.py").write_text(self.RACE)
+        (tmp_path / "leaky.py").write_text(LEAKY_MODEL)
         (tmp_path / "dirty.py").write_text("import random\nrandom.random()\n")
         (tmp_path / "broken.py").write_text("def broken(:\n")
         return tmp_path
@@ -177,7 +170,7 @@ class TestSingleParse:
         tree = self.make_tree(tmp_path)
         report = lint_paths([tree], rules=resolve_codes(semantic=True))
         assert sorted(parses) == sorted(str(p) for p in tree.glob("*.py"))
-        assert {f.code for f in report.findings} == {"RL001", "RL010"}
+        assert {f.code for f in report.findings} == {"RL001", "RL009"}
         assert len(report.errors) == 1
 
     def test_replayed_files_parse_once_for_a_changed_project(self, tmp_path, parses):
@@ -190,10 +183,10 @@ class TestSingleParse:
         assert parses == []  # a warm run replays without parsing
         (tree / "clean.py").write_text("X = 1\n")
         warm = lint_paths([tree], rules=rules, cache=cache)
-        # dirty.py and race.py replay their per-file results and are parsed
+        # dirty.py and leaky.py replay their per-file results and are parsed
         # once for the semantic pass; broken.py replays its parse error.
         assert sorted(parses) == sorted(
-            str(tree / name) for name in ("clean.py", "dirty.py", "race.py")
+            str(tree / name) for name in ("clean.py", "dirty.py", "leaky.py")
         )
         assert warm.findings == cold.findings
         assert warm.errors == cold.errors

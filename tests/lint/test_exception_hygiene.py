@@ -1,8 +1,8 @@
-"""Lint-style audit: service and runtime raise only the repo hierarchy.
+"""Lint-style audit: service, runtime and lint raise only the repo hierarchy.
 
-Walks the AST of every module under ``repro/service`` and ``repro/runtime``
-and asserts each ``raise`` uses a :class:`~repro.exceptions.ReproError`
-subclass.  One escape hatch is allowed: raising a builtin *inside* a ``try``
+Walks the AST of every module under ``repro/service``, ``repro/runtime``
+and ``repro/lint`` and asserts each ``raise`` uses a
+:class:`~repro.exceptions.ReproError` subclass.  One escape hatch is allowed: raising a builtin *inside* a ``try``
 whose handlers catch it is internal control flow (e.g. the journal reader
 raising ``ValueError`` into its own torn-tail handler) and never crosses a
 public API boundary.
@@ -20,7 +20,7 @@ from repro.exceptions import ReproError
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: Packages whose public raises must use the hierarchy.
-AUDITED_PACKAGES = ("service", "runtime")
+AUDITED_PACKAGES = ("service", "runtime", "lint")
 
 #: Every exception class exported by :mod:`repro.exceptions` that derives
 #: from the repo root error.

@@ -43,21 +43,6 @@ def test_rule_list_covers_every_rule():
         assert rule.name in listing
 
 
-def test_text_reporter_mentions_baselined():
-    from repro.lint.engine import LintReport
-
-    report = lint_source(DIRTY, path="pkg/mod.py")
-    quiet = LintReport(
-        findings=[], files_checked=report.files_checked, baselined=1
-    )
-    assert render_text(quiet).endswith("(0 suppressed), 1 baselined")
-
-
-def test_json_reporter_carries_baselined_count():
-    report = lint_source(DIRTY, path="pkg/mod.py")
-    report.baselined = 2
-    assert json.loads(render_json(report))["baselined"] == 2
-
 
 def test_sarif_reporter_shape():
     from repro.lint.reporters import render_sarif

@@ -1,4 +1,4 @@
-"""Per-rule positive/negative fixture tests (RL001-RL010, RL012)."""
+"""Per-rule positive/negative fixture tests (RL001-RL009, RL012)."""
 
 import pytest
 
@@ -207,7 +207,7 @@ class TestRl008Details:
 
 
 class TestSemanticFixtures:
-    """RL009-RL010 run as single-file projects over their fixtures."""
+    """RL009 runs as a single-file project over its fixtures."""
 
     @pytest.mark.parametrize("code", SEMANTIC_CODES)
     def test_positive_fixture_triggers_only_its_rule(self, code):

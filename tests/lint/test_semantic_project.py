@@ -112,11 +112,6 @@ class TestHierarchy:
             "b.Allocator",
         ]
 
-    def test_is_subclass_of_by_bare_name(self):
-        project = make_project(("m", self.DIAMOND))
-        assert project.is_subclass_of(project.classes["m.Leaf"], "Root")
-        assert not project.is_subclass_of(project.classes["m.Root"], "Leaf")
-
 
 class TestAnnotations:
     SRC = (

@@ -1,6 +1,7 @@
 """Suppression-comment parsing and filtering."""
 
-from repro.lint import lint_source, parse_suppressions
+from repro.lint import get_rule, lint_source, parse_suppressions
+from tests.lint.conftest import LEAKY_MODEL
 
 BAD_LINE = "def check(makespan: float) -> bool:\n    return makespan == 1.5\n"
 
@@ -92,37 +93,26 @@ class TestEdgeCases:
 class TestSemanticSuppression:
     """Semantic findings filter through the anchor file's pragmas."""
 
-    RACY = (
-        "class C:\n"
-        "    async def bump(self):\n"
-        "        snap = self.x\n"
-        "        await self.wait()\n"
-        "{write_line}"
-    )
+    ANCHOR = "class LeakyModel(SpeedupModel):\n"
 
-    def _run(self, write_line: str):
-        from repro.lint.registry import get_rule
-
+    def _run(self, anchor_lines: str):
         return lint_source(
-            self.RACY.format(write_line=write_line),
-            rules=[get_rule("RL010")],
+            LEAKY_MODEL.replace(self.ANCHOR, anchor_lines),
+            rules=[get_rule("RL009")],
         )
 
-    def test_suppressed_at_the_write_site(self):
+    def test_suppressed_at_the_anchor_line(self):
         report = self._run(
-            "        self.x = snap + 1  # repro-lint: disable=RL010 -- reviewed\n"
+            "class LeakyModel(SpeedupModel):  # repro-lint: disable=RL009 -- reviewed\n"
         )
         assert report.findings == []
         assert report.suppressed == 1
 
     def test_standalone_pragma_covers_next_line(self):
-        report = self._run(
-            "        # repro-lint: disable=RL010 -- reviewed\n"
-            "        self.x = snap + 1\n"
-        )
+        report = self._run("# repro-lint: disable=RL009 -- reviewed\n" + self.ANCHOR)
         assert report.findings == []
         assert report.suppressed == 1
 
     def test_unsuppressed_semantic_finding_reported(self):
-        report = self._run("        self.x = snap + 1\n")
-        assert [f.code for f in report.findings] == ["RL010"]
+        report = self._run(self.ANCHOR)
+        assert [f.code for f in report.findings] == ["RL009"]

@@ -16,7 +16,7 @@ from repro.obs.metrics import MetricsTracer
 from repro.service.config import ServiceConfig, TenantQuota
 from repro.service.core import ServiceCore
 from repro.service.journal import read_journal
-from repro.service.protocol import Hello, Submit
+from repro.service.protocol import Hello, Submit, decode_line, parse_request
 from repro.sim import InvariantChecker
 from repro.speedup import (
     AmdahlModel,
@@ -45,6 +45,18 @@ class TestAdmission:
         core = ServiceCore(ServiceConfig(P=4, family="amdahl"))
         with pytest.raises(ProtocolError):
             core.hello(Hello(tenant="a/b"))
+
+    @pytest.mark.parametrize("deadline", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_deadline_rejected_unjournaled(self, tmp_path, deadline):
+        journal = tmp_path / "wal.jsonl"
+        core = ServiceCore(ServiceConfig(P=4, family="amdahl"), journal_path=journal)
+        request = parse_request(
+            decode_line(f'{{"op":"hello","tenant":"a","deadline":{deadline}}}')
+        )
+        with pytest.raises(ProtocolError):
+            core.hello(request)
+        core.close_journal()
+        assert read_journal(journal)[1] == []
 
     def test_duplicate_active_session_rejected(self):
         core = ServiceCore(ServiceConfig(P=4, family="amdahl"))
